@@ -11,7 +11,7 @@ use rand::SeedableRng;
 fn evaluated(tile: &SlidingTile, genome: Genome, cfg: &GaConfig) -> Evaluated<Vec<u8>> {
     let mut dec = Decoder::new();
     let start = gaplan_core::Domain::initial_state(tile);
-    let (decoded, _) = dec.evaluate(tile, &start, &genome, cfg);
+    let (decoded, _) = dec.evaluate(tile, &start, genome.genes(), cfg, None, None);
     Evaluated::new(genome, decoded, Fitness::default())
 }
 

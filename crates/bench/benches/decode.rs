@@ -22,7 +22,7 @@ fn bench_decode(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("hanoi", format!("n{n}_len{len}")), &genome, |b, g| {
             let mut dec = Decoder::new();
             let start = gaplan_core::Domain::initial_state(&hanoi);
-            b.iter(|| dec.evaluate(&hanoi, &start, g, &cfg));
+            b.iter(|| dec.evaluate(&hanoi, &start, g.genes(), &cfg, None, None));
         });
     }
 
@@ -33,7 +33,7 @@ fn bench_decode(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("tile", format!("n{n}_len{len}")), &genome, |b, g| {
             let mut dec = Decoder::new();
             let start = gaplan_core::Domain::initial_state(&tile);
-            b.iter(|| dec.evaluate(&tile, &start, g, &cfg));
+            b.iter(|| dec.evaluate(&tile, &start, g.genes(), &cfg, None, None));
         });
     }
 
@@ -42,7 +42,7 @@ fn bench_decode(c: &mut Criterion) {
     group.bench_function("grid_len16", |b| {
         let mut dec = Decoder::new();
         let start = gaplan_core::Domain::initial_state(&sc.world);
-        b.iter(|| dec.evaluate(&sc.world, &start, &genome, &cfg));
+        b.iter(|| dec.evaluate(&sc.world, &start, genome.genes(), &cfg, None, None));
     });
 
     group.finish();

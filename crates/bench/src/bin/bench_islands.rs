@@ -8,10 +8,10 @@
 //! **Decode path** — the `bench_decode` workload (Hanoi-7, 200 genomes of
 //! 127 genes, 40 passes, one fresh point mutation per child per pass,
 //! shared successor cache), once through the historical per-candidate path
-//! (`Decoder::evaluate_with`, no prefix hints — the loop whose wall time is
+//! (`Decoder::evaluate` with no prefix hint — the loop whose wall time is
 //! recorded as `cache_on_ms` in `BENCH_decode.json`) and once through the
 //! arena path: children written into a [`PopulationArena`] with
-//! [`Provenance`] naming the unchanged prefix, decoded by `evaluate_ref`
+//! [`Provenance`] naming the unchanged prefix, decoded by `evaluate`
 //! with a borrowed [`PrefixRef`] replaying the donor's memoized outputs.
 //! Both loops draw identical mutations, evaluate a pre-decoded parent set's
 //! children, and discard results, so the wall-clock delta isolates the
@@ -91,7 +91,7 @@ fn setup_parents(
     population(&mut rng, len)
         .into_iter()
         .map(|g| {
-            let (decoded, fitness) = dec.evaluate_with(hanoi, &start, &g, cfg, Some(cache), None);
+            let (decoded, fitness) = dec.evaluate(hanoi, &start, g.genes(), cfg, Some(cache), None);
             Evaluated::new(g, decoded, fitness)
         })
         .collect()
@@ -116,7 +116,7 @@ fn run_candidate(
             let mut child = p.genome.clone();
             let at = rng.gen_range(0..child.len());
             child.genes_mut()[at] = rng.gen_range(0.0..1.0);
-            let (_, fitness) = dec.evaluate_with(hanoi, &start, &child, cfg, Some(cache), None);
+            let (_, fitness) = dec.evaluate(hanoi, &start, child.genes(), cfg, Some(cache), None);
             checksum += fitness.total;
         }
     }
@@ -153,7 +153,7 @@ fn run_arena(
             let prov = arena.prov(i);
             let donor = &parents[prov.parent as usize];
             let hint = PrefixRef::new(&donor.ops, &donor.match_keys, &donor.step_goals, prov.prefix as usize);
-            let (decoded, fitness) = dec.evaluate_ref(hanoi, &start, arena.genes(i), cfg, Some(cache), Some(hint));
+            let (decoded, fitness) = dec.evaluate(hanoi, &start, arena.genes(i), cfg, Some(cache), Some(hint));
             checksum += fitness.total;
             dec.recycle(decoded);
         }

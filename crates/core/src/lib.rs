@@ -27,7 +27,6 @@
 
 pub mod budget;
 pub mod domain;
-pub mod dyn_domain;
 pub mod plan;
 pub mod sig;
 pub mod strips;
@@ -35,7 +34,6 @@ pub mod succ;
 
 pub use budget::{Budget, CancelToken, StopCause};
 pub use domain::{Domain, DomainExt, OpId};
-pub use dyn_domain::{DynDomain, DynState, ErasedDomain, ErasedState};
 pub use plan::{Plan, PlanOutcome, SimError};
 pub use sig::{hash_one, SigBuilder};
 pub use succ::{CacheStats, SuccessorCache};

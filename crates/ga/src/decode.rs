@@ -10,7 +10,6 @@
 use gaplan_core::{Domain, OpId, SuccessorCache};
 
 use crate::config::{GoalEval, StateMatchMode};
-use crate::genome::Genome;
 use crate::Fitness;
 
 /// Checkpoint of an individual's *unchanged prefix*, set by the breeding
@@ -21,7 +20,7 @@ use crate::Fitness;
 /// Decoding is a pure function of `(start, genes)`, so the child's decode of
 /// that prefix is *guaranteed* to equal the parent's: the same ops, the same
 /// match keys, the same intermediate states. A `PrefixHint` carries the
-/// parent's `(ops, match_keys)` for the shared prefix; [`Decoder::decode_with`]
+/// parent's `(ops, match_keys)` for the shared prefix; [`Decoder::decode`]
 /// replays it — re-applying ops and re-accumulating cost/goal fitness
 /// bitwise-identically, but skipping every `valid_operations` enumeration and
 /// match-key hash — and resumes ordinary decoding at the first changed locus.
@@ -221,54 +220,20 @@ impl Decoder {
         self.spare_goals = decoded.step_goals;
     }
 
-    /// Decode `genome` against `domain`, starting from `start`.
+    /// Decode `genes` against `domain`, starting from `start`.
     ///
     /// * `truncate_at_goal`: stop decoding at the first goal state reached
     ///   (see `GaConfig::truncate_at_goal` for the fidelity discussion).
     /// * `match_mode`: what the per-locus match keys identify (full state
     ///   signature, or the valid-op multiset of the state).
-    pub fn decode<D: Domain>(
-        &mut self,
-        domain: &D,
-        start: &D::State,
-        genome: &Genome,
-        truncate_at_goal: bool,
-        match_mode: StateMatchMode,
-    ) -> Decoded<D::State> {
-        self.decode_with(domain, start, genome, truncate_at_goal, match_mode, None, None)
-    }
-
-    /// [`Decoder::decode`] with the evaluation-layer accelerations: an
-    /// optional shared [`SuccessorCache`] (memoized `valid_operations` +
-    /// match keys) and an optional [`PrefixHint`] (replay of the unchanged
-    /// prefix). Both are pure optimizations — the returned [`Decoded`] is
+    /// * `cache`: a shared [`SuccessorCache`] memoizing `valid_operations`
+    ///   and match keys.
+    /// * `hint`: a borrowed [`PrefixRef`] replaying the unchanged prefix.
+    ///
+    /// Cache and hint are pure optimizations: the returned [`Decoded`] is
     /// bitwise-identical to an uncached, hintless decode.
     #[allow(clippy::too_many_arguments)]
-    pub fn decode_with<D: Domain>(
-        &mut self,
-        domain: &D,
-        start: &D::State,
-        genome: &Genome,
-        truncate_at_goal: bool,
-        match_mode: StateMatchMode,
-        cache: Option<&SuccessorCache<D::State>>,
-        hint: Option<&PrefixHint>,
-    ) -> Decoded<D::State> {
-        self.decode_ref(
-            domain,
-            start,
-            genome.genes(),
-            truncate_at_goal,
-            match_mode,
-            cache,
-            hint.map(PrefixHint::as_ref),
-        )
-    }
-
-    /// [`Decoder::decode_with`] over a raw gene slice and a borrowed hint —
-    /// the arena-backed engine path. Bitwise-identical results.
-    #[allow(clippy::too_many_arguments)]
-    pub fn decode_ref<D: Domain>(
+    pub fn decode<D: Domain>(
         &mut self,
         domain: &D,
         start: &D::State,
@@ -549,42 +514,9 @@ impl Decoder {
         }
     }
 
-    /// Decode and score in one pass: the standard evaluation path.
+    /// Decode and score in one pass: the standard evaluation path. `cache`
+    /// and `hint` are [`Decoder::decode`]'s pure optimizations.
     pub fn evaluate<D: Domain>(
-        &mut self,
-        domain: &D,
-        start: &D::State,
-        genome: &Genome,
-        cfg: &crate::GaConfig,
-    ) -> (Decoded<D::State>, Fitness) {
-        self.evaluate_with(domain, start, genome, cfg, None, None)
-    }
-
-    /// [`Decoder::evaluate`] through the shared evaluation layer (optional
-    /// successor cache and prefix hint); same results, fewer
-    /// `valid_operations` calls.
-    pub fn evaluate_with<D: Domain>(
-        &mut self,
-        domain: &D,
-        start: &D::State,
-        genome: &Genome,
-        cfg: &crate::GaConfig,
-        cache: Option<&SuccessorCache<D::State>>,
-        hint: Option<&PrefixHint>,
-    ) -> (Decoded<D::State>, Fitness) {
-        let decoded = self.decode_with(domain, start, genome, cfg.truncate_at_goal, cfg.state_match, cache, hint);
-        let goal = match cfg.goal_eval {
-            GoalEval::FinalState => domain.goal_fitness(&decoded.final_state),
-            GoalEval::BestPrefix => decoded.best_prefix_goal,
-        };
-        let fitness =
-            Fitness::compute(goal, decoded.ops.len(), decoded.cost, cfg.weights, cfg.cost_fitness, cfg.max_len);
-        (decoded, fitness)
-    }
-
-    /// [`Decoder::evaluate_with`] over a raw gene slice and a borrowed hint —
-    /// the arena-backed evaluation path. Bitwise-identical results.
-    pub fn evaluate_ref<D: Domain>(
         &mut self,
         domain: &D,
         start: &D::State,
@@ -593,7 +525,7 @@ impl Decoder {
         cache: Option<&SuccessorCache<D::State>>,
         hint: Option<PrefixRef<'_>>,
     ) -> (Decoded<D::State>, Fitness) {
-        let decoded = self.decode_ref(domain, start, genes, cfg.truncate_at_goal, cfg.state_match, cache, hint);
+        let decoded = self.decode(domain, start, genes, cfg.truncate_at_goal, cfg.state_match, cache, hint);
         let goal = match cfg.goal_eval {
             GoalEval::FinalState => domain.goal_fitness(&decoded.final_state),
             GoalEval::BestPrefix => decoded.best_prefix_goal,
@@ -630,11 +562,15 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn decode_simple(
-        d: &gaplan_core::strips::StripsProblem,
-        genes: Vec<f64>,
-    ) -> Decoded<<gaplan_core::strips::StripsProblem as Domain>::State> {
-        Decoder::new().decode(d, &d.initial_state(), &Genome::from_genes(genes), false, StateMatchMode::ExactState)
+    type Line = gaplan_core::strips::StripsProblem;
+
+    /// Decode from the initial state with no cache and no hint.
+    fn decode_plain(d: &Line, genes: &[f64], truncate: bool, mode: StateMatchMode) -> Decoded<<Line as Domain>::State> {
+        Decoder::new().decode(d, &d.initial_state(), genes, truncate, mode, None, None)
+    }
+
+    fn decode_simple(d: &Line, genes: Vec<f64>) -> Decoded<<Line as Domain>::State> {
+        decode_plain(d, &genes, false, StateMatchMode::ExactState)
     }
 
     #[test]
@@ -674,18 +610,11 @@ mod tests {
     fn truncate_at_goal_stops_decoding() {
         let d = line();
         let genes = vec![0.1, 0.1, 0.1, 0.1, 0.9, 0.9]; // reach goal then walk back
-        let full = Decoder::new().decode(
-            &d,
-            &d.initial_state(),
-            &Genome::from_genes(genes.clone()),
-            false,
-            StateMatchMode::ExactState,
-        );
+        let full = decode_plain(&d, &genes, false, StateMatchMode::ExactState);
         assert_eq!(full.decoded_len, 6);
         assert!(!d.is_goal(&full.final_state)); // walked past the goal
 
-        let trunc =
-            Decoder::new().decode(&d, &d.initial_state(), &Genome::from_genes(genes), true, StateMatchMode::ExactState);
+        let trunc = decode_plain(&d, &genes, true, StateMatchMode::ExactState);
         assert_eq!(trunc.decoded_len, 4);
         assert!(d.is_goal(&trunc.final_state));
     }
@@ -728,13 +657,7 @@ mod tests {
     #[test]
     fn valid_op_set_match_mode_produces_keys() {
         let d = line();
-        let dec = Decoder::new().decode(
-            &d,
-            &d.initial_state(),
-            &Genome::from_genes(vec![0.1, 0.1, 0.9]),
-            false,
-            StateMatchMode::ValidOpSet,
-        );
+        let dec = decode_plain(&d, &[0.1, 0.1, 0.9], false, StateMatchMode::ValidOpSet);
         // positions visited: 0, 1, 2, 1. Valid-op sets at position 1 (locus 1)
         // and position 1 again (final) coincide.
         assert_eq!(dec.match_keys[1], dec.match_keys[3]);
@@ -781,12 +704,11 @@ mod tests {
             (StateMatchMode::ValidOpSet, true),
         ] {
             for genes in &genomes {
-                let g = Genome::from_genes(genes.clone());
                 let start = d.initial_state();
-                let plain = Decoder::new().decode(&d, &start, &g, truncate, mode);
+                let plain = decode_plain(&d, genes, truncate, mode);
                 // twice through the cache: once cold, once warm
-                let cold = Decoder::new().decode_with(&d, &start, &g, truncate, mode, Some(&cache), None);
-                let warm = Decoder::new().decode_with(&d, &start, &g, truncate, mode, Some(&cache), None);
+                let cold = Decoder::new().decode(&d, &start, genes, truncate, mode, Some(&cache), None);
+                let warm = Decoder::new().decode(&d, &start, genes, truncate, mode, Some(&cache), None);
                 assert_decoded_eq(&plain, &cold, "cold cache");
                 assert_decoded_eq(&plain, &warm, "warm cache");
             }
@@ -798,30 +720,23 @@ mod tests {
     fn prefix_hint_replay_is_bitwise_identical() {
         let d = line();
         let donor_genes = vec![0.1, 0.1, 0.9, 0.3, 0.2, 0.8];
-        let donor = Decoder::new().decode(
-            &d,
-            &d.initial_state(),
-            &Genome::from_genes(donor_genes.clone()),
-            false,
-            StateMatchMode::ValidOpSet,
-        );
+        let donor = decode_plain(&d, &donor_genes, false, StateMatchMode::ValidOpSet);
         // A "child" sharing the first `cut` genes with the donor, for every
         // possible cut (including 0 and the full length).
         for cut in 0..=donor_genes.len() {
             let mut child_genes = donor_genes[..cut].to_vec();
             child_genes.extend([0.7, 0.05, 0.6]);
-            let g = Genome::from_genes(child_genes);
             let hint = PrefixHint::new(&donor.ops, &donor.match_keys, &donor.step_goals, cut);
             assert!(hint.len() <= cut);
-            let plain = Decoder::new().decode(&d, &d.initial_state(), &g, false, StateMatchMode::ValidOpSet);
-            let hinted = Decoder::new().decode_with(
+            let plain = decode_plain(&d, &child_genes, false, StateMatchMode::ValidOpSet);
+            let hinted = Decoder::new().decode(
                 &d,
                 &d.initial_state(),
-                &g,
+                &child_genes,
                 false,
                 StateMatchMode::ValidOpSet,
                 None,
-                Some(&hint),
+                Some(hint.as_ref()),
             );
             assert_decoded_eq(&plain, &hinted, &format!("hint cut {cut}"));
         }
@@ -833,26 +748,20 @@ mod tests {
         // Donor reaches the goal at gene 4 under truncation; its decoded_len
         // is 4 even though the genome is longer.
         let donor_genes = vec![0.1, 0.1, 0.1, 0.1, 0.9, 0.9];
-        let donor = Decoder::new().decode(
-            &d,
-            &d.initial_state(),
-            &Genome::from_genes(donor_genes.clone()),
-            true,
-            StateMatchMode::ExactState,
-        );
+        let donor = decode_plain(&d, &donor_genes, true, StateMatchMode::ExactState);
         assert_eq!(donor.decoded_len, 4);
         // A hint "covering" 6 genes is capped at the donor's 4 decoded ops;
         // replaying it against the same genome reproduces the truncation.
         let hint = PrefixHint::new(&donor.ops, &donor.match_keys, &donor.step_goals, 6);
         assert_eq!(hint.len(), 4);
-        let replayed = Decoder::new().decode_with(
+        let replayed = Decoder::new().decode(
             &d,
             &d.initial_state(),
-            &Genome::from_genes(donor_genes),
+            &donor_genes,
             true,
             StateMatchMode::ExactState,
             None,
-            Some(&hint),
+            Some(hint.as_ref()),
         );
         assert_decoded_eq(&donor, &replayed, "goal-truncated replay");
     }
@@ -861,25 +770,19 @@ mod tests {
     fn prefix_hint_truncate_shrinks_replay() {
         let d = line();
         let genes = vec![0.1, 0.1, 0.9, 0.3];
-        let donor = Decoder::new().decode(
-            &d,
-            &d.initial_state(),
-            &Genome::from_genes(genes.clone()),
-            false,
-            StateMatchMode::ExactState,
-        );
+        let donor = decode_plain(&d, &genes, false, StateMatchMode::ExactState);
         let mut hint = PrefixHint::new(&donor.ops, &donor.match_keys, &donor.step_goals, 4);
         hint.truncate(2);
         assert_eq!(hint.len(), 2);
         assert!(!hint.is_empty());
-        let replayed = Decoder::new().decode_with(
+        let replayed = Decoder::new().decode(
             &d,
             &d.initial_state(),
-            &Genome::from_genes(genes),
+            &genes,
             false,
             StateMatchMode::ExactState,
             None,
-            Some(&hint),
+            Some(hint.as_ref()),
         );
         assert_decoded_eq(&donor, &replayed, "truncated hint");
     }
@@ -889,26 +792,19 @@ mod tests {
         let d = line();
         let cache = SuccessorCache::new(256);
         let donor_genes = vec![0.1, 0.9, 0.1, 0.1, 0.1];
-        let donor = Decoder::new().decode(
-            &d,
-            &d.initial_state(),
-            &Genome::from_genes(donor_genes.clone()),
-            false,
-            StateMatchMode::ValidOpSet,
-        );
+        let donor = decode_plain(&d, &donor_genes, false, StateMatchMode::ValidOpSet);
         let mut child_genes = donor_genes[..3].to_vec();
         child_genes.extend([0.99, 0.0]);
-        let g = Genome::from_genes(child_genes);
         let hint = PrefixHint::new(&donor.ops, &donor.match_keys, &donor.step_goals, 3);
-        let plain = Decoder::new().decode(&d, &d.initial_state(), &g, false, StateMatchMode::ValidOpSet);
-        let both = Decoder::new().decode_with(
+        let plain = decode_plain(&d, &child_genes, false, StateMatchMode::ValidOpSet);
+        let both = Decoder::new().decode(
             &d,
             &d.initial_state(),
-            &g,
+            &child_genes,
             false,
             StateMatchMode::ValidOpSet,
             Some(&cache),
-            Some(&hint),
+            Some(hint.as_ref()),
         );
         assert_decoded_eq(&plain, &both, "cache + hint");
     }

@@ -75,7 +75,8 @@ pub fn evaluate_candidates<D: Domain>(
         candidates
             .into_par_iter()
             .map_init(Decoder::new, |dec, cand| {
-                let (decoded, fitness) = dec.evaluate_with(domain, start, &cand.genome, cfg, cache, cand.hint.as_ref());
+                let hint = cand.hint.as_ref().map(PrefixHint::as_ref);
+                let (decoded, fitness) = dec.evaluate(domain, start, cand.genome.genes(), cfg, cache, hint);
                 Evaluated::new(cand.genome, decoded, fitness)
             })
             .collect()
@@ -84,7 +85,8 @@ pub fn evaluate_candidates<D: Domain>(
         candidates
             .into_iter()
             .map(|cand| {
-                let (decoded, fitness) = dec.evaluate_with(domain, start, &cand.genome, cfg, cache, cand.hint.as_ref());
+                let hint = cand.hint.as_ref().map(PrefixHint::as_ref);
+                let (decoded, fitness) = dec.evaluate(domain, start, cand.genome.genes(), cfg, cache, hint);
                 Evaluated::new(cand.genome, decoded, fitness)
             })
             .collect()
@@ -113,7 +115,7 @@ pub fn evaluate_arena<D: Domain>(
             let donor = &parents[prov.parent as usize];
             Some(PrefixRef::new(&donor.ops, &donor.match_keys, &donor.step_goals, prov.prefix as usize))
         };
-        let (decoded, fitness) = dec.evaluate_ref(domain, start, genes, cfg, cache, hint);
+        let (decoded, fitness) = dec.evaluate(domain, start, genes, cfg, cache, hint);
         Evaluated::new(Genome::from_genes(genes.to_vec()), decoded, fitness)
     };
     if cfg.eval == EvalMode::Parallel {

@@ -177,7 +177,7 @@ mod tests {
         // the first 10 slots hold seeds; greedy walks on the graded chain go
         // straight forward, so they decode to high-fitness states
         let mut dec = Decoder::new();
-        let seeded = dec.decode(&d, &d.initial_state(), &pop[0], false, StateMatchMode::ExactState);
+        let seeded = dec.decode(&d, &d.initial_state(), pop[0].genes(), false, StateMatchMode::ExactState, None, None);
         let fit = gaplan_core::Domain::goal_fitness(&d, &seeded.final_state);
         assert!(fit >= 0.9, "greedy seed reached fitness {fit}");
     }
@@ -192,7 +192,7 @@ mod tests {
         let pop =
             seeded_population(&d, &d.initial_state(), &c, &SeedStrategy::Plans(vec![plan.clone()]), 0.3, &mut rng);
         let mut dec = Decoder::new();
-        let decoded = dec.decode(&d, &d.initial_state(), &pop[0], false, StateMatchMode::ExactState);
+        let decoded = dec.decode(&d, &d.initial_state(), pop[0].genes(), false, StateMatchMode::ExactState, None, None);
         assert_eq!(decoded.ops, plan);
     }
 
@@ -231,7 +231,7 @@ mod tests {
         let avg_seeded: f64 = pop
             .iter()
             .map(|g| {
-                let r = dec.decode(&d, &d.initial_state(), g, false, StateMatchMode::ExactState);
+                let r = dec.decode(&d, &d.initial_state(), g.genes(), false, StateMatchMode::ExactState, None, None);
                 gaplan_core::Domain::goal_fitness(&d, &r.final_state)
             })
             .sum::<f64>()
@@ -241,7 +241,7 @@ mod tests {
         let avg_random: f64 = random
             .iter()
             .map(|g| {
-                let r = dec.decode(&d, &d.initial_state(), g, false, StateMatchMode::ExactState);
+                let r = dec.decode(&d, &d.initial_state(), g.genes(), false, StateMatchMode::ExactState, None, None);
                 gaplan_core::Domain::goal_fitness(&d, &r.final_state)
             })
             .sum::<f64>()

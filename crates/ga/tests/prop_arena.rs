@@ -146,7 +146,7 @@ proptest! {
 
         let mut dec = Decoder::new();
         let pg = Genome::from_genes(parent.clone());
-        let (pd, pf) = dec.evaluate_with(&d, &start, &pg, &cfg, Some(&cache), None);
+        let (pd, pf) = dec.evaluate(&d, &start, pg.genes(), &cfg, Some(&cache), None);
         let donor = Evaluated::new(pg, pd, pf);
 
         let mut arena = PopulationArena::new();
@@ -160,11 +160,10 @@ proptest! {
         for i in 0..arena.len() {
             let prov = arena.prov(i);
             let hint = PrefixRef::new(&donor.ops, &donor.match_keys, &donor.step_goals, prov.prefix as usize);
-            let (ad, af) = dec.evaluate_ref(&d, &start, arena.genes(i), &cfg, Some(&cache), Some(hint));
+            let (ad, af) = dec.evaluate(&d, &start, arena.genes(i), &cfg, Some(&cache), Some(hint));
 
             let mut fresh = Decoder::new();
-            let cg = Genome::from_genes(arena.genes(i).to_vec());
-            let (sd, sf) = fresh.evaluate_with(&d, &start, &cg, &cfg, None, None);
+            let (sd, sf) = fresh.evaluate(&d, &start, arena.genes(i), &cfg, None, None);
 
             prop_assert_eq!(&ad.ops, &sd.ops);
             prop_assert_eq!(&ad.match_keys, &sd.match_keys);

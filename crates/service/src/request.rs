@@ -11,13 +11,15 @@
 use std::sync::Arc;
 
 use gaplan_core::strips::{parse_strips, StripsProblem};
-use gaplan_core::{Budget, Domain, DynDomain, DynState, SigBuilder, StopCause, SuccessorCache};
+use gaplan_core::{Budget, Domain, SigBuilder, StopCause};
 use gaplan_domains::{Hanoi, SlidingTile};
 use gaplan_ga::{CostFitnessMode, CrossoverKind, GaConfig, MultiPhase};
 use gaplan_grid::{parse_grid, GridWorld};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+
+use crate::service::SuccPool;
 
 /// A problem the service knows how to build, as it appears on the wire.
 ///
@@ -210,41 +212,28 @@ impl BuiltProblem {
         }
     }
 
-    /// The planning domain behind an object-safe wrapper, or `None` for the
-    /// [`BuiltProblem::Chaos`] pseudo-problem (which never plans).
-    pub fn as_dyn(&self) -> Option<DynDomain<'_>> {
-        match self {
-            BuiltProblem::Hanoi { domain, .. } => Some(DynDomain::new(domain)),
-            BuiltProblem::Tile { domain, .. } => Some(DynDomain::new(domain)),
-            BuiltProblem::Strips(p) => Some(DynDomain::new(p.as_ref())),
-            BuiltProblem::Grid(w) => Some(DynDomain::new(w.as_ref())),
-            BuiltProblem::Dsl(p) => Some(DynDomain::new(p.as_ref())),
-            BuiltProblem::Chaos { .. } => None,
-        }
-    }
-
-    /// Run the multi-phase GA under `budget` and flatten the result into a
-    /// domain-erased [`SolveOutcome`]. Equivalent to
-    /// [`BuiltProblem::solve_with`] without a shared successor cache.
+    /// Run the multi-phase GA under `budget`, without a shared successor
+    /// cache, and flatten the result into a [`SolveOutcome`].
     pub fn solve(&self, cfg: &GaConfig, budget: Budget) -> SolveOutcome {
-        self.solve_with(cfg, budget, None)
+        self.solve_pooled(cfg, budget, None)
     }
 
-    /// [`BuiltProblem::solve`], probing (and warming) `succ` — a successor
-    /// cache shared across jobs and replans for the same problem. Every
-    /// variant runs through one [`DynDomain`]-instantiated engine instead of
-    /// a per-variant monomorphized copy.
-    pub fn solve_with(
-        &self,
-        cfg: &GaConfig,
-        budget: Budget,
-        succ: Option<Arc<SuccessorCache<DynState>>>,
-    ) -> SolveOutcome {
-        match self.as_dyn() {
-            Some(domain) => run_on(&domain, cfg, budget, succ),
+    /// [`BuiltProblem::solve`], probing (and warming) the successor cache
+    /// `pool` keeps for this problem, shared across jobs and replans. Each
+    /// variant runs the engine instantiated for its own domain type.
+    pub(crate) fn solve_pooled(&self, cfg: &GaConfig, budget: Budget, pool: Option<&SuccPool>) -> SolveOutcome {
+        let pool = pool.map(|p| (p, self.signature()));
+        match self {
+            BuiltProblem::Hanoi { domain, .. } => solve_typed(domain, cfg, budget, pool),
+            BuiltProblem::Tile { domain, .. } => solve_typed(domain, cfg, budget, pool),
+            // One `StripsProblem` instantiation; the payloads are a `Box`
+            // and an `Arc`, so an or-pattern cannot bind both.
+            BuiltProblem::Strips(p) => solve_typed(p.as_ref(), cfg, budget, pool),
+            BuiltProblem::Dsl(p) => solve_typed(p.as_ref(), cfg, budget, pool),
+            BuiltProblem::Grid(w) => solve_typed(w.as_ref(), cfg, budget, pool),
             // Attempt accounting lives in the worker (`run_job`); reaching
-            // the generic path means the injected fault budget is spent.
-            None => SolveOutcome {
+            // the solve means the injected fault budget is spent.
+            BuiltProblem::Chaos { .. } => SolveOutcome {
                 solved: true,
                 goal_fitness: 1.0,
                 plan_names: Vec::new(),
@@ -269,14 +258,14 @@ fn base_config(initial_len: usize) -> GaConfig {
     }
 }
 
-fn run_on(
-    domain: &DynDomain<'_>,
-    cfg: &GaConfig,
-    budget: Budget,
-    succ: Option<Arc<SuccessorCache<DynState>>>,
-) -> SolveOutcome {
+/// The typed multi-phase GA on `domain`, through the pooled successor cache
+/// of problem `sig` when `pool` is given.
+fn solve_typed<D: Domain>(domain: &D, cfg: &GaConfig, budget: Budget, pool: Option<(&SuccPool, u64)>) -> SolveOutcome
+where
+    D::State: 'static,
+{
     let mut mp = MultiPhase::new(domain, cfg.clone()).with_budget(budget);
-    if let Some(cache) = succ {
+    if let Some(cache) = pool.and_then(|(pool, sig)| pool.succ_cache_for(sig, cfg)) {
         mp = mp.with_cache(cache);
     }
     let r = mp.run();
@@ -290,7 +279,8 @@ fn run_on(
     }
 }
 
-/// Domain-erased summary of a finished (or budget-stopped) GA run.
+/// Summary of a finished (or budget-stopped) GA run, the same for every
+/// problem variant.
 #[derive(Debug, Clone)]
 pub struct SolveOutcome {
     /// Did the best plan reach the goal?
@@ -626,45 +616,113 @@ mod tests {
         assert!(ProblemSpec::Strips { text: "not a problem".into() }.build().is_err());
     }
 
-    fn quick_cfg(built: &BuiltProblem) -> GaConfig {
+    /// A GA budget small enough that some pinned runs stop unsolved, so the
+    /// pins below cover fitness bits and multi-phase generation counts.
+    fn pin_cfg(built: &BuiltProblem) -> GaConfig {
         let mut cfg = built.default_config();
-        cfg.population_size = 40;
-        cfg.generations_per_phase = 30;
-        cfg.max_phases = 2;
+        cfg.population_size = 16;
+        cfg.generations_per_phase = 6;
+        cfg.max_phases = 3;
         cfg
     }
 
-    #[test]
-    fn dyn_dispatch_matches_typed_run() {
-        // The service's single erased engine must reproduce the typed
-        // engine's run exactly: same plan, same generation count.
-        let built = ProblemSpec::Hanoi { disks: 3 }.build().unwrap();
-        let cfg = quick_cfg(&built);
-        let erased = built.solve(&cfg, Budget::unlimited());
-
-        let typed = gaplan_domains::Hanoi::new(3);
-        let r = MultiPhase::new(&typed, cfg).run();
-        assert_eq!(erased.solved, r.solved);
-        assert_eq!(erased.plan_ops, r.plan.ops().iter().map(|op| op.0).collect::<Vec<_>>());
-        assert_eq!(erased.total_generations, r.total_generations);
-        assert_eq!(erased.goal_fitness.to_bits(), r.goal_fitness.to_bits());
+    fn logistics_1() -> ProblemSpec {
+        ProblemSpec::Dsl {
+            domain: include_str!("../../../examples/domains/logistics.gap").into(),
+            problem: include_str!("../../../data/logistics-1.gap").into(),
+        }
     }
 
     #[test]
-    fn shared_succ_cache_preserves_results_across_jobs() {
-        let built = ProblemSpec::Tile { side: 3, shuffle_seed: 4 }.build().unwrap();
-        let cfg = quick_cfg(&built);
-        let plain = built.solve(&cfg, Budget::unlimited());
-
-        let cache = Arc::new(SuccessorCache::new(1 << 12));
-        let cold = built.solve_with(&cfg, Budget::unlimited(), Some(Arc::clone(&cache)));
-        let warm = built.solve_with(&cfg, Budget::unlimited(), Some(Arc::clone(&cache)));
-        for run in [&cold, &warm] {
-            assert_eq!(plain.plan_ops, run.plan_ops);
-            assert_eq!(plain.total_generations, run.total_generations);
-            assert_eq!(plain.goal_fitness.to_bits(), run.goal_fitness.to_bits());
+    fn service_path_pins_every_plannable_variant() {
+        // (plan_ops, total_generations, goal_fitness bits), recorded from
+        // the service path before its typed dispatch replaced type erasure;
+        // the same with no successor cache and through a pooled one.
+        let cases: [(ProblemSpec, &[u32], u32, u64); 5] = [
+            (
+                ProblemSpec::Hanoi { disks: 4 },
+                &[
+                    0, 1, 3, 4, 1, 4, 5, 1, 5, 2, 0, 1, 2, 3, 0, 3, 0, 2, 4, 1, 0, 4, 0, 4, 1, 2, 0, 3, 4, 5, 3, 5, 0,
+                    2, 1, 4, 1, 4, 1, 4, 3, 0, 4, 2, 5, 0, 3, 0, 5,
+                ],
+                18,
+                0x3ff0000000000000,
+            ),
+            (
+                ProblemSpec::Tile { side: 3, shuffle_seed: 7 },
+                &[
+                    2, 1, 1, 2, 3, 0, 1, 3, 2, 2, 0, 1, 0, 0, 3, 1, 1, 3, 2, 2, 0, 1, 0, 0, 1, 3, 0, 2, 3, 1, 3, 1, 2,
+                    0, 3, 2, 2, 0,
+                ],
+                18,
+                0x3fec000000000000,
+            ),
+            (
+                ProblemSpec::Strips { text: include_str!("../../../data/rover.strips").into() },
+                &[6, 6, 6, 0, 1, 0, 1, 0, 4, 2, 5, 3, 8, 7],
+                6,
+                0x3ff0000000000000,
+            ),
+            (
+                ProblemSpec::Grid { text: include_str!("../../../data/pipeline.grid").into() },
+                &[8, 0, 3, 5],
+                6,
+                0x3ff0000000000000,
+            ),
+            (logistics_1(), &[4, 0, 7, 2, 3, 5, 2, 11], 6, 0x3ff0000000000000),
+        ];
+        for (spec, ops, gens, fitness) in cases {
+            let built = spec.build().unwrap();
+            let cfg = pin_cfg(&built);
+            let pool = SuccPool::default();
+            let plain = built.solve(&cfg, Budget::unlimited());
+            let cold = built.solve_pooled(&cfg, Budget::unlimited(), Some(&pool));
+            let warm = built.solve_pooled(&cfg, Budget::unlimited(), Some(&pool));
+            for (run, what) in [(&plain, "uncached"), (&cold, "cold pool"), (&warm, "warm pool")] {
+                assert_eq!(run.plan_ops, ops, "{spec:?} {what}: plan");
+                assert_eq!(run.total_generations, gens, "{spec:?} {what}: generations");
+                assert_eq!(run.goal_fitness.to_bits(), fitness, "{spec:?} {what}: goal fitness");
+            }
+            assert_eq!(plain.plan_names, warm.plan_names);
         }
-        assert!(cache.stats().hits > 0, "second job over the same problem must reuse successors");
+    }
+
+    #[test]
+    fn pooled_cache_is_shared_across_jobs_and_equal_strips_problems() {
+        let dsl = logistics_1().build().unwrap();
+        let BuiltProblem::Dsl(ground) = &dsl else { panic!("logistics-1 builds to a Dsl problem") };
+        let strips = BuiltProblem::Strips(Box::new(ground.as_ref().clone()));
+        assert_eq!(strips.signature(), dsl.signature());
+        let cfg = pin_cfg(&dsl);
+        let pool = SuccPool::default();
+
+        let dsl_cache = pool.succ_cache_for::<<StripsProblem as Domain>::State>(dsl.signature(), &cfg).unwrap();
+        dsl.solve_pooled(&cfg, Budget::unlimited(), Some(&pool));
+        let misses = dsl_cache.stats().misses;
+        assert!(misses > 0, "the job must warm the pooled cache");
+        strips.solve_pooled(&cfg, Budget::unlimited(), Some(&pool));
+        assert_eq!(dsl_cache.stats().misses, misses, "an equal Strips problem reuses every successor");
+        let strips_cache = pool.succ_cache_for(strips.signature(), &cfg).unwrap();
+        assert!(Arc::ptr_eq(&dsl_cache, &strips_cache));
+
+        // Same signature, another state type: a separate cache, never a
+        // mistyped one.
+        let other = pool.succ_cache_for::<u64>(dsl.signature(), &cfg).unwrap();
+        assert_eq!(other.stats().misses, 0);
+        // A config without the successor cache gets none from the pool.
+        let off = GaConfig { succ_cache: false, ..cfg };
+        assert!(pool.succ_cache_for::<u64>(dsl.signature(), &off).is_none());
+    }
+
+    #[test]
+    fn chaos_solves_to_the_synthetic_empty_outcome() {
+        let built = ProblemSpec::Chaos { fail_attempts: 0, kill_worker: false }.build().unwrap();
+        let out = built.solve_pooled(&built.default_config(), Budget::unlimited(), Some(&SuccPool::default()));
+        assert!(out.solved);
+        assert_eq!(out.goal_fitness, 1.0);
+        assert!(out.plan_names.is_empty() && out.plan_ops.is_empty());
+        assert_eq!(out.total_generations, 0);
+        assert!(out.stopped.is_none());
     }
 
     #[test]
@@ -675,7 +733,7 @@ mod tests {
         let json = serde_json::to_string(&spec).unwrap();
         let back: ProblemSpec = serde_json::from_str(&json).unwrap();
         let built = back.build().unwrap();
-        assert!(built.as_dyn().is_some(), "Dsl problems must plan");
+        assert!(built.solve(&built.default_config(), Budget::unlimited()).solved, "Dsl problems must plan");
         assert_eq!(built.signature(), spec.build().unwrap().signature());
         let req = PlanRequest { id: 1, problem: spec, deadline_ms: None, ga: None };
         assert!(req.cache_key().is_some(), "Dsl requests are cacheable");
@@ -686,11 +744,5 @@ mod tests {
         let spec = ProblemSpec::Dsl { domain: "domain d\ntype t\naction a()".into(), problem: "nope".into() };
         let err = spec.build().unwrap_err();
         assert!(!err.is_empty());
-    }
-
-    #[test]
-    fn chaos_has_no_domain() {
-        assert!(ProblemSpec::Chaos { fail_attempts: 0, kill_worker: false }.build().unwrap().as_dyn().is_none());
-        assert!(ProblemSpec::Hanoi { disks: 2 }.build().unwrap().as_dyn().is_some());
     }
 }

@@ -17,6 +17,8 @@
 //! the thread dies, and a supervisor thread respawns the worker. Every
 //! fault is counted in [`Metrics`] and visible via [`PlanService::health`].
 
+use std::any::{Any, TypeId};
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
@@ -29,7 +31,7 @@ use serde::{Deserialize, Serialize};
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 
-use gaplan_core::{Budget, CancelToken, DynState, StopCause, SuccessorCache};
+use gaplan_core::{Budget, CancelToken, StopCause, SuccessorCache};
 use gaplan_ga::GaConfig;
 use gaplan_grid::GridWorld;
 use gaplan_obs::{self as obs, Event};
@@ -261,22 +263,53 @@ impl Job {
     }
 }
 
-/// State shared between the service handle, its workers and the supervisor.
 /// Upper bound on distinct problems with pooled successor caches. Beyond
 /// it the pool drops the whole map — crude, but the caches are pure
 /// optimization and rebuild in one run.
 const SUCC_POOL_LIMIT: usize = 32;
 
+/// Successor caches shared across jobs (and grid replans) that plan the
+/// same problem. Separate from the *plan* cache: a plan-cache hit skips the
+/// GA outright, while a successor-cache hit accelerates a GA that still has
+/// to run — e.g. same problem, different seed/config, or a replan after a
+/// fault.
+///
+/// Keyed by (state type, [`BuiltProblem::signature`]): each problem variant
+/// runs the engine typed, so each cache holds its own domain's states, and
+/// the `TypeId` in the key means a lookup never finds a cache of another
+/// state type. Structurally equal `Strips` and `Dsl` problems share a slot.
+///
+/// [`BuiltProblem::signature`]: crate::request::BuiltProblem::signature
+#[derive(Default)]
+pub(crate) struct SuccPool(Mutex<FxHashMap<(TypeId, u64), Arc<dyn Any + Send + Sync>>>);
+
+impl SuccPool {
+    /// The pooled successor cache for problem `sig`, creating it on first
+    /// use; `None` when the job's config disables the cache. Keyed by
+    /// problem (not config), so reruns with different seeds, overrides or
+    /// replan worlds of the same problem all warm one cache.
+    pub(crate) fn succ_cache_for<S>(&self, sig: u64, cfg: &GaConfig) -> Option<Arc<SuccessorCache<S>>>
+    where
+        S: Clone + Eq + Hash + Send + Sync + 'static,
+    {
+        if !cfg.succ_cache {
+            return None;
+        }
+        let key = (TypeId::of::<S>(), sig);
+        let mut pool = self.0.lock();
+        if pool.len() >= SUCC_POOL_LIMIT && !pool.contains_key(&key) {
+            pool.clear();
+        }
+        let entry = pool.entry(key).or_insert_with(|| Arc::new(SuccessorCache::<S>::new(cfg.succ_cache_capacity)));
+        Some(Arc::clone(entry).downcast().expect("the key's TypeId names the cache's state type"))
+    }
+}
+
+/// State shared between the service handle, its workers and the supervisor.
 struct Shared {
     cache: Mutex<PlanCache>,
-    /// Successor caches shared across jobs (and grid replans) that plan the
-    /// same problem, keyed by [`BuiltProblem::signature`]. Separate from the
-    /// *plan* cache: a plan-cache hit skips the GA outright, while a
-    /// successor-cache hit accelerates a GA that still has to run — e.g.
-    /// same problem, different seed/config, or a replan after a fault.
-    ///
-    /// [`BuiltProblem::signature`]: crate::request::BuiltProblem::signature
-    succ_pool: Mutex<FxHashMap<u64, Arc<SuccessorCache<DynState>>>>,
+    /// Successor caches shared across jobs that plan the same problem.
+    succ_pool: SuccPool,
     /// Behind an `Arc` so long-lived helper threads (e.g. the serve loop's
     /// journal forwarder) can count events without borrowing the service.
     metrics: Arc<Metrics>,
@@ -292,23 +325,6 @@ struct Shared {
     obs: Option<ObsHandle>,
     /// Overload controllers (deadline admission, CoDel, brownout).
     overload: OverloadControl,
-}
-
-impl Shared {
-    /// The pooled successor cache for a problem signature, creating it on
-    /// first use; `None` when the job's config disables the cache. Keyed by
-    /// problem (not config), so reruns with different seeds, overrides or
-    /// replan worlds of the same problem all warm one cache.
-    fn succ_cache_for(&self, sig: u64, cfg: &GaConfig) -> Option<Arc<SuccessorCache<DynState>>> {
-        if !cfg.succ_cache {
-            return None;
-        }
-        let mut pool = self.succ_pool.lock();
-        if pool.len() >= SUCC_POOL_LIMIT && !pool.contains_key(&sig) {
-            pool.clear();
-        }
-        Some(Arc::clone(pool.entry(sig).or_insert_with(|| Arc::new(SuccessorCache::new(cfg.succ_cache_capacity)))))
-    }
 }
 
 /// Handle to a running planning service. Dropping it (or calling
@@ -333,7 +349,7 @@ impl PlanService {
         let (responses, response_rx) = std::sync::mpsc::channel();
         let shared = Arc::new(Shared {
             cache: Mutex::new(PlanCache::new(cfg.cache_capacity)),
-            succ_pool: Mutex::new(FxHashMap::default()),
+            succ_pool: SuccPool::default(),
             metrics: Arc::new(Metrics::new()),
             active: Mutex::new(FxHashMap::default()),
             shutting_down: AtomicBool::new(false),
@@ -876,8 +892,7 @@ fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
     if let Some(deadline) = job.deadline {
         budget = budget.with_deadline(deadline);
     }
-    let succ = shared.succ_cache_for(built.signature(), &run_cfg);
-    let outcome = built.solve_with(&run_cfg, budget, succ);
+    let outcome = built.solve_pooled(&run_cfg, budget, Some(&shared.succ_pool));
 
     let status = match outcome.stopped {
         None => JobStatus::Done,

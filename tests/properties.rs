@@ -5,7 +5,7 @@
 use ga_grid_planner::baselines::{bfs, graphplan, SearchLimits};
 use ga_grid_planner::domains::sliding_tile::is_reachable;
 use ga_grid_planner::domains::{Hanoi, SlidingTile};
-use ga_grid_planner::ga::{Decoder, GaConfig, Genome, StateMatchMode};
+use ga_grid_planner::ga::{Decoder, GaConfig, StateMatchMode};
 use gaplan_core::strips::{StripsBuilder, StripsProblem};
 use gaplan_core::{Domain, DomainExt, Plan};
 use proptest::prelude::*;
@@ -45,8 +45,7 @@ proptest! {
     #[test]
     fn decoded_plans_always_replay(problem in arb_strips(), genes in proptest::collection::vec(0.0f64..1.0, 0..40)) {
         let mut dec = Decoder::new();
-        let genome = Genome::from_genes(genes);
-        let decoded = dec.decode(&problem, &problem.initial_state(), &genome, false, StateMatchMode::ExactState);
+        let decoded = dec.decode(&problem, &problem.initial_state(), &genes, false, StateMatchMode::ExactState, None, None);
         let plan = Plan::from_ops(decoded.ops.clone());
         // checked simulation must accept every decoded op
         let out = plan.simulate(&problem, &problem.initial_state()).expect("decoded ops are valid");
@@ -58,9 +57,8 @@ proptest! {
     /// Decoding is total and deterministic.
     #[test]
     fn decode_is_deterministic(problem in arb_strips(), genes in proptest::collection::vec(0.0f64..1.0, 0..40)) {
-        let genome = Genome::from_genes(genes);
-        let a = Decoder::new().decode(&problem, &problem.initial_state(), &genome, false, StateMatchMode::ExactState);
-        let b = Decoder::new().decode(&problem, &problem.initial_state(), &genome, false, StateMatchMode::ExactState);
+        let a = Decoder::new().decode(&problem, &problem.initial_state(), &genes, false, StateMatchMode::ExactState, None, None);
+        let b = Decoder::new().decode(&problem, &problem.initial_state(), &genes, false, StateMatchMode::ExactState, None, None);
         prop_assert_eq!(a.ops, b.ops);
         prop_assert_eq!(a.cost, b.cost);
     }
@@ -127,8 +125,7 @@ proptest! {
     #[test]
     fn goal_fitness_is_normalized(problem in arb_strips(), genes in proptest::collection::vec(0.0f64..1.0, 0..30)) {
         let mut dec = Decoder::new();
-        let genome = Genome::from_genes(genes);
-        let decoded = dec.decode(&problem, &problem.initial_state(), &genome, false, StateMatchMode::ExactState);
+        let decoded = dec.decode(&problem, &problem.initial_state(), &genes, false, StateMatchMode::ExactState, None, None);
         let f = problem.goal_fitness(&decoded.final_state);
         prop_assert!((0.0..=1.0).contains(&f));
         prop_assert_eq!(problem.is_goal(&decoded.final_state), f >= 1.0);
