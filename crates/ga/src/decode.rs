@@ -12,18 +12,22 @@ use gaplan_core::{Domain, OpId, SuccessorCache};
 use crate::config::{GoalEval, StateMatchMode};
 use crate::Fitness;
 
-/// Checkpoint of an individual's *unchanged prefix*, set by the breeding
-/// operators so re-decoding can replay the prefix instead of re-deriving it.
+/// Checkpoint of an individual's *unchanged prefix*, borrowed from the
+/// donor parent so re-decoding can replay the prefix instead of re-deriving
+/// it.
 ///
 /// Crossover copies genes `0..cut` of a parent verbatim into a child, and
 /// replace-mutation leaves genes before the first flipped locus untouched.
 /// Decoding is a pure function of `(start, genes)`, so the child's decode of
 /// that prefix is *guaranteed* to equal the parent's: the same ops, the same
-/// match keys, the same intermediate states. A `PrefixHint` carries the
-/// parent's `(ops, match_keys)` for the shared prefix; [`Decoder::decode`]
-/// replays it — re-applying ops and re-accumulating cost/goal fitness
-/// bitwise-identically, but skipping every `valid_operations` enumeration and
-/// match-key hash — and resumes ordinary decoding at the first changed locus.
+/// match keys, the same intermediate states. A `PrefixRef` slices the
+/// parent's `(ops, match_keys, step_goals)` for the shared prefix straight
+/// out of its `Evaluated`; [`Decoder::decode`] replays it — re-applying ops
+/// and re-accumulating cost/goal fitness bitwise-identically, but skipping
+/// every `valid_operations` enumeration and match-key hash — and resumes
+/// ordinary decoding at the first changed locus. The arena-backed engine
+/// resolves each child's provenance `(parent index, prefix length)` to a
+/// `PrefixRef` at evaluation time, so breeding allocates nothing for hints.
 ///
 /// Invariants (upheld by construction, checked in tests):
 /// * `ops.len() == keys.len() == goals.len()`, one entry per replayed gene;
@@ -31,54 +35,6 @@ use crate::Fitness;
 ///   decoded — past a goal truncation or dead end — are not replayable);
 /// * a hint is only attached to a child sharing the donor's start state and
 ///   its first `len()` genes.
-#[derive(Debug, Clone, Default)]
-pub struct PrefixHint {
-    ops: Vec<OpId>,
-    keys: Vec<u64>,
-    goals: Vec<f64>,
-}
-
-impl PrefixHint {
-    /// Checkpoint of the first `prefix_genes` genes of a donor individual,
-    /// given the donor's decode outputs (including its per-step goal memo,
-    /// so replay never re-computes goal fitness). Capped at the donor's
-    /// decoded length: genes the donor never decoded cannot be replayed.
-    pub fn new(donor_ops: &[OpId], donor_keys: &[u64], donor_goals: &[f64], prefix_genes: usize) -> PrefixHint {
-        let k = prefix_genes.min(donor_ops.len()).min(donor_goals.len());
-        debug_assert!(donor_keys.len() > donor_ops.len(), "match_keys must have decoded_len + 1 entries");
-        debug_assert_eq!(donor_goals.len(), donor_ops.len(), "step_goals must have one entry per op");
-        PrefixHint { ops: donor_ops[..k].to_vec(), keys: donor_keys[..k].to_vec(), goals: donor_goals[..k].to_vec() }
-    }
-
-    /// Number of replayable genes.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True when the hint replays nothing.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Shrink the hint to `prefix_genes` genes — called when mutation flips
-    /// a locus inside the previously unchanged prefix.
-    pub fn truncate(&mut self, prefix_genes: usize) {
-        self.ops.truncate(prefix_genes);
-        self.keys.truncate(prefix_genes);
-        self.goals.truncate(prefix_genes);
-    }
-
-    /// Borrow this hint as a [`PrefixRef`].
-    pub fn as_ref(&self) -> PrefixRef<'_> {
-        PrefixRef { ops: &self.ops, keys: &self.keys, goals: &self.goals }
-    }
-}
-
-/// A borrowed [`PrefixHint`]: the same replayable `(ops, keys)` prefix, but
-/// sliced straight out of the donor's `Evaluated` instead of cloned into
-/// owned vectors. The arena-backed engine resolves each child's provenance
-/// `(parent index, prefix length)` to a `PrefixRef` at evaluation time, so
-/// breeding allocates nothing for hints.
 #[derive(Debug, Clone, Copy)]
 pub struct PrefixRef<'a> {
     ops: &'a [OpId],
@@ -87,8 +43,10 @@ pub struct PrefixRef<'a> {
 }
 
 impl<'a> PrefixRef<'a> {
-    /// Borrow the first `prefix_genes` genes of a donor's decode outputs,
-    /// capped at the donor's decoded length exactly like [`PrefixHint::new`].
+    /// Borrow the first `prefix_genes` genes of a donor's decode outputs
+    /// (including its per-step goal memo, so replay never re-computes goal
+    /// fitness). Capped at the donor's decoded length: genes the donor
+    /// never decoded cannot be replayed.
     pub fn new(
         donor_ops: &'a [OpId],
         donor_keys: &'a [u64],
@@ -726,7 +684,7 @@ mod tests {
         for cut in 0..=donor_genes.len() {
             let mut child_genes = donor_genes[..cut].to_vec();
             child_genes.extend([0.7, 0.05, 0.6]);
-            let hint = PrefixHint::new(&donor.ops, &donor.match_keys, &donor.step_goals, cut);
+            let hint = PrefixRef::new(&donor.ops, &donor.match_keys, &donor.step_goals, cut);
             assert!(hint.len() <= cut);
             let plain = decode_plain(&d, &child_genes, false, StateMatchMode::ValidOpSet);
             let hinted = Decoder::new().decode(
@@ -736,7 +694,7 @@ mod tests {
                 false,
                 StateMatchMode::ValidOpSet,
                 None,
-                Some(hint.as_ref()),
+                Some(hint),
             );
             assert_decoded_eq(&plain, &hinted, &format!("hint cut {cut}"));
         }
@@ -752,7 +710,7 @@ mod tests {
         assert_eq!(donor.decoded_len, 4);
         // A hint "covering" 6 genes is capped at the donor's 4 decoded ops;
         // replaying it against the same genome reproduces the truncation.
-        let hint = PrefixHint::new(&donor.ops, &donor.match_keys, &donor.step_goals, 6);
+        let hint = PrefixRef::new(&donor.ops, &donor.match_keys, &donor.step_goals, 6);
         assert_eq!(hint.len(), 4);
         let replayed = Decoder::new().decode(
             &d,
@@ -761,7 +719,7 @@ mod tests {
             true,
             StateMatchMode::ExactState,
             None,
-            Some(hint.as_ref()),
+            Some(hint),
         );
         assert_decoded_eq(&donor, &replayed, "goal-truncated replay");
     }
@@ -771,19 +729,13 @@ mod tests {
         let d = line();
         let genes = vec![0.1, 0.1, 0.9, 0.3];
         let donor = decode_plain(&d, &genes, false, StateMatchMode::ExactState);
-        let mut hint = PrefixHint::new(&donor.ops, &donor.match_keys, &donor.step_goals, 4);
-        hint.truncate(2);
+        // A mutation inside the donor's prefix shortens the hint: borrowing
+        // 2 of the donor's 4 decoded genes replays only those two.
+        let hint = PrefixRef::new(&donor.ops, &donor.match_keys, &donor.step_goals, 2);
         assert_eq!(hint.len(), 2);
         assert!(!hint.is_empty());
-        let replayed = Decoder::new().decode(
-            &d,
-            &d.initial_state(),
-            &genes,
-            false,
-            StateMatchMode::ExactState,
-            None,
-            Some(hint.as_ref()),
-        );
+        let replayed =
+            Decoder::new().decode(&d, &d.initial_state(), &genes, false, StateMatchMode::ExactState, None, Some(hint));
         assert_decoded_eq(&donor, &replayed, "truncated hint");
     }
 
@@ -795,7 +747,7 @@ mod tests {
         let donor = decode_plain(&d, &donor_genes, false, StateMatchMode::ValidOpSet);
         let mut child_genes = donor_genes[..3].to_vec();
         child_genes.extend([0.99, 0.0]);
-        let hint = PrefixHint::new(&donor.ops, &donor.match_keys, &donor.step_goals, 3);
+        let hint = PrefixRef::new(&donor.ops, &donor.match_keys, &donor.step_goals, 3);
         let plain = decode_plain(&d, &child_genes, false, StateMatchMode::ValidOpSet);
         let both = Decoder::new().decode(
             &d,
@@ -804,7 +756,7 @@ mod tests {
             false,
             StateMatchMode::ValidOpSet,
             Some(&cache),
-            Some(hint.as_ref()),
+            Some(hint),
         );
         assert_decoded_eq(&plain, &both, "cache + hint");
     }

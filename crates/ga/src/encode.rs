@@ -5,7 +5,7 @@
 //! Nebel & Koehler) needs: an existing plan — from a baseline planner, a
 //! previous GA run, or a truncated prefix of either — becomes genetic
 //! material. It also powers the seeding strategies of
-//! [`crate::seeding`] (Westerberg & Levine, the paper's ref. [22], found
+//! [`crate::seeding`] (Westerberg & Levine, the paper's ref. \[22\], found
 //! seeding partial solutions "appears to benefit GP performance").
 
 use gaplan_core::{Domain, OpId};

@@ -7,25 +7,22 @@ use rayon::prelude::*;
 
 use crate::arena::{PopulationArena, NO_PARENT};
 use crate::config::{EvalMode, GaConfig};
-use crate::decode::{Decoder, PrefixHint, PrefixRef};
+use crate::decode::{Decoder, PrefixRef};
 use crate::genome::Genome;
 use crate::individual::Evaluated;
 
-/// A genome queued for evaluation, plus the decode checkpoint of its
-/// unchanged prefix (set by the breeding operators; `None` for fresh random
-/// individuals, whose whole genome is new).
+/// A genome queued for evaluation from scratch. Bred children carry their
+/// reusable prefix as arena provenance instead (see [`evaluate_arena`]).
 #[derive(Debug, Clone, Default)]
 pub struct Candidate {
     /// The genome to evaluate.
     pub genome: Genome,
-    /// Replayable prefix inherited from the donor parent, if any.
-    pub hint: Option<PrefixHint>,
 }
 
 impl Candidate {
-    /// A candidate with no reusable prefix.
+    /// A candidate decoded with no reusable prefix.
     pub fn fresh(genome: Genome) -> Candidate {
-        Candidate { genome, hint: None }
+        Candidate { genome }
     }
 }
 
@@ -60,10 +57,10 @@ pub fn evaluate_all<D: Domain>(
     evaluate_candidates(domain, start, genomes.into_iter().map(Candidate::fresh).collect(), cfg, None)
 }
 
-/// [`evaluate_all`] through the shared evaluation layer: candidates carry
-/// prefix-reuse hints, and all workers probe one shared [`SuccessorCache`].
-/// Cache and hints are pure optimizations — results are bitwise-identical to
-/// the plain path (and between serial and parallel modes).
+/// [`evaluate_all`] through the shared evaluation layer: all workers probe
+/// one shared [`SuccessorCache`]. The cache is a pure optimization — results
+/// are bitwise-identical to the plain path (and between serial and parallel
+/// modes).
 pub fn evaluate_candidates<D: Domain>(
     domain: &D,
     start: &D::State,
@@ -75,8 +72,7 @@ pub fn evaluate_candidates<D: Domain>(
         candidates
             .into_par_iter()
             .map_init(Decoder::new, |dec, cand| {
-                let hint = cand.hint.as_ref().map(PrefixHint::as_ref);
-                let (decoded, fitness) = dec.evaluate(domain, start, cand.genome.genes(), cfg, cache, hint);
+                let (decoded, fitness) = dec.evaluate(domain, start, cand.genome.genes(), cfg, cache, None);
                 Evaluated::new(cand.genome, decoded, fitness)
             })
             .collect()
@@ -85,8 +81,7 @@ pub fn evaluate_candidates<D: Domain>(
         candidates
             .into_iter()
             .map(|cand| {
-                let hint = cand.hint.as_ref().map(PrefixHint::as_ref);
-                let (decoded, fitness) = dec.evaluate(domain, start, cand.genome.genes(), cfg, cache, hint);
+                let (decoded, fitness) = dec.evaluate(domain, start, cand.genome.genes(), cfg, cache, None);
                 Evaluated::new(cand.genome, decoded, fitness)
             })
             .collect()

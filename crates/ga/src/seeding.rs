@@ -1,5 +1,5 @@
 //! Population seeding strategies, after Westerberg & Levine (the paper's
-//! ref. [22]): "Seeding partial solutions and keeping some randomness in
+//! ref. \[22\]): "Seeding partial solutions and keeping some randomness in
 //! the initial population appear to benefit GP performance."
 //!
 //! A seeding strategy replaces a fraction of the random initial population
@@ -39,7 +39,7 @@ pub enum SeedStrategy {
 }
 
 /// Build an initial population with `seed_fraction` of the individuals
-/// produced by `strategy` and the rest random (ref. [22]'s "keeping some
+/// produced by `strategy` and the rest random (ref. \[22\]'s "keeping some
 /// randomness" finding). Always returns exactly `cfg.population_size`
 /// genomes.
 pub fn seeded_population<D: Domain, R: Rng + ?Sized>(

@@ -131,10 +131,10 @@ impl TcpServer {
                         }
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => {
                             // EINTR: retry immediately, no budget consumed.
-                            host.metrics().on_accept_retried();
+                            host.metrics().counters.accepts_retried.inc();
                         }
                         Err(_) => {
-                            host.metrics().on_accept_retried();
+                            host.metrics().counters.accepts_retried.inc();
                             std::thread::sleep(accept_retry_backoff(accept_backoff));
                             accept_backoff = accept_backoff.saturating_add(1);
                         }
@@ -234,8 +234,8 @@ fn run_conn(host: &Arc<SessionHost>, stream: TcpStream, peer: SocketAddr, opts: 
             Ok(Some(Frame::Reject(err))) => {
                 last_frame = std::time::Instant::now();
                 match &err {
-                    FrameError::Oversize { .. } => host.metrics().on_frame_oversize(),
-                    FrameError::Malformed | FrameError::Truncated => host.metrics().on_frame_malformed(),
+                    FrameError::Oversize { .. } => host.metrics().counters.frames_oversize.inc(),
+                    FrameError::Malformed | FrameError::Truncated => host.metrics().counters.frames_malformed.inc(),
                 }
                 session.report_error(None, &err.message());
             }
@@ -248,7 +248,7 @@ fn run_conn(host: &Arc<SessionHost>, stream: TcpStream, peer: SocketAddr, opts: 
                 }
                 if let Some(idle) = opts.idle_timeout {
                     if last_frame.elapsed() >= idle {
-                        host.metrics().on_conn_reaped();
+                        host.metrics().counters.conns_reaped.inc();
                         obs::emit(|| {
                             Event::new("svc.conn")
                                 .str("op", "reap")

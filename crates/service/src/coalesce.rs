@@ -286,7 +286,7 @@ impl Dispatch {
 
         let internal = match outcome {
             Submitted::Rejoined { leader, key } => {
-                self.metrics.on_retry_joined();
+                self.metrics.counters.retries_joined.inc();
                 obs::emit(|| {
                     Event::new("svc.idem").str("op", "join").u64("id", client_id).u64("leader", leader).u64("key", key)
                 });
@@ -315,7 +315,7 @@ impl Dispatch {
                 return;
             }
             Submitted::Joined { leader, key } => {
-                self.metrics.on_coalesced();
+                self.metrics.counters.coalesced_jobs.inc();
                 obs::emit(|| Event::new("svc.coalesced").u64("id", client_id).u64("leader", leader).u64("key", key));
                 return;
             }
@@ -333,7 +333,7 @@ impl Dispatch {
                 self.fail_entry(internal, JobStatus::Error, &format!("journal write failed: {e}"), false);
                 return;
             }
-            self.metrics.on_journal_append();
+            self.metrics.counters.journal_appends.inc();
         }
         match service.submit(internal_req) {
             Ok(token) => self.store_token(internal, token),
@@ -461,7 +461,7 @@ impl Dispatch {
         if journal_done {
             if let Some(journal) = &self.journal {
                 if journal.record_done(&PlanResponse::failure(internal, status, message)).is_ok() {
-                    self.metrics.on_journal_append();
+                    self.metrics.counters.journal_appends.inc();
                 }
             }
         }
@@ -482,7 +482,7 @@ impl Dispatch {
             // A failed append still answers the client: availability over
             // durability (the job may re-run after a crash).
             if journal.record_done(resp).is_ok() {
-                self.metrics.on_journal_append();
+                self.metrics.counters.journal_appends.inc();
             }
         }
         let waiters = {

@@ -50,7 +50,7 @@ pub fn ground_cached(domain: &str, problem: &str, metrics: Option<&Metrics>) -> 
     let key = text_signature(domain, problem);
     if let Some(cached) = cache().lock().unwrap().get(&key) {
         if let Some(m) = metrics {
-            m.on_ground_cache_hit();
+            m.counters.ground_cache_hits.inc();
         }
         return cached.clone();
     }
@@ -62,7 +62,7 @@ pub fn ground_cached(domain: &str, problem: &str, metrics: Option<&Metrics>) -> 
         Err(e) => Err(e.summary()),
     };
     if let Some(m) = metrics {
-        m.on_ground_cache_miss();
+        m.counters.ground_cache_misses.inc();
     }
     let mut map = cache().lock().unwrap();
     if map.len() >= CAPACITY {

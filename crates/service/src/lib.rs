@@ -34,7 +34,8 @@
 //! * **Self-healing** ([`PlanService`]): jobs run under `catch_unwind`
 //!   with a bounded panic-retry policy, a supervisor respawns worker
 //!   threads that die anyway, a full queue sheds load after an admission
-//!   timeout, and `{"cmd":"health"}` reports live workers and queue depth.
+//!   timeout, and `{"cmd":"health"}` reports live workers and queue depth
+//!   (the same [`MetricsSnapshot`] `{"cmd":"metrics"}` answers with).
 //!   [`ProblemSpec::Chaos`] injects panics on purpose to test all of it.
 
 #![warn(missing_docs)]
@@ -58,5 +59,5 @@ pub use overload::{OverloadConfig, OverloadControl};
 pub use proto::{parse_command, serve, serve_with_journal, Command, ProtoError};
 pub use replan::ServiceReplanner;
 pub use request::{BuiltProblem, GaOverrides, JobStatus, PlanRequest, PlanResponse, ProblemSpec, SolveOutcome};
-pub use service::{HealthReport, ObsHandle, PlanService, ServiceConfig, ServiceError, SubmitError};
+pub use service::{ObsHandle, PlanService, ServiceConfig, ServiceError, SubmitError};
 pub use session::{LineOutcome, Session, SessionHost, SessionMode};

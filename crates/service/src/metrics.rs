@@ -1,10 +1,19 @@
-//! Service metrics: lock-free counters updated by workers and the submit
-//! path, snapshotted into a serializable [`MetricsSnapshot`].
+//! Service metrics: lock-free counters updated by workers, the submit path
+//! and the transports, snapshotted into a serializable [`MetricsSnapshot`].
 //!
-//! Besides the counters, two log2-bucket [`Histogram`]s track latency
-//! distributions — per-job wall time and queue wait — rolled up into
-//! [`HistogramSummary`] values in the snapshot and into percentile fields
-//! of the `health` wire command.
+//! Every counter is declared once, as one row of the table in the
+//! `metrics_table!` invocation below: a name and a doc comment. The row
+//! becomes a [`Counter`] cell in [`Counters`] (where call sites count with
+//! `inc`/`add`) and a `u64` field of [`MetricsSnapshot`] with the same
+//! name and doc, so adding a counter is a one-line table edit plus its
+//! call site. The table's `derived` rows are snapshot-only fields computed
+//! when the snapshot is taken: rates, EWMAs, histogram roll-ups and the
+//! service-level gauges [`crate::PlanService::metrics`] fills in.
+//!
+//! The snapshot is the body of both the `metrics` and the `health` wire
+//! commands. Besides the counters, two log2-bucket [`Histogram`]s track
+//! latency distributions — per-job wall time and queue wait — rolled up
+//! into [`HistogramSummary`] values and their percentile fields.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -12,49 +21,193 @@ use gaplan_obs::Histogram;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-/// Live counters. All updates use relaxed ordering — the snapshot is a
-/// statistical view, not a synchronization point.
+/// One cell of the counter table: a monotonic counter, or a gauge that
+/// also moves down. All updates use relaxed ordering — a counter publishes
+/// no other data, and a snapshot is a statistical view, not a
+/// synchronization point.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Count one event.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Count `n` events.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Lower a gauge by one, saturating at zero: a decrement that races
+    /// ahead of its increment must never wrap the gauge to `u64::MAX`.
+    pub fn dec(&self) {
+        let _ = self.0.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(1)));
+    }
+
+    /// Raise a running maximum to at least `v`.
+    pub fn max(&self, v: u64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// Expands the counter table into [`Counters`] (one [`Counter`] per row)
+/// and [`MetricsSnapshot`] (one `u64` per row, then the `derived` fields),
+/// carrying each row's doc comment to both.
+macro_rules! metrics_table {
+    (
+        counters { $( $(#[$doc:meta])* $name:ident, )* }
+        derived { $( $(#[$ddoc:meta])* $dname:ident: $dty:ty, )* }
+    ) => {
+        /// The live counter cells, one per table row.
+        #[derive(Debug, Default)]
+        pub struct Counters {
+            $( $(#[$doc])* pub $name: Counter, )*
+        }
+
+        /// Serializable point-in-time view of [`Metrics`]: the body of
+        /// both the `metrics` and the `health` wire commands.
+        #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+        pub struct MetricsSnapshot {
+            $( $(#[$doc])* pub $name: u64, )*
+            $( $(#[$ddoc])* pub $dname: $dty, )*
+        }
+
+        impl Counters {
+            /// Every counter's current value; derived fields stay zero.
+            fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot { $( $name: self.$name.get(), )* ..MetricsSnapshot::default() }
+            }
+        }
+    };
+}
+
+metrics_table! {
+    counters {
+        /// Jobs accepted onto the queue.
+        jobs_submitted,
+        /// Jobs that produced a response (including timeouts/cancellations).
+        jobs_completed,
+        /// Completed jobs whose plan reached the goal.
+        jobs_solved,
+        /// Jobs stopped by their deadline.
+        jobs_timed_out,
+        /// Jobs stopped by cancellation.
+        jobs_cancelled,
+        /// Submissions rejected before queueing.
+        jobs_rejected,
+        /// Jobs whose problem failed to build, or that panicked on every
+        /// attempt.
+        jobs_errored,
+        /// Jobs answered from the plan cache.
+        cache_hits,
+        /// Jobs that ran the GA.
+        cache_misses,
+        /// Plan-cache entries evicted (LRU) to make room for new plans.
+        cache_evictions,
+        /// `Dsl` jobs that reused an already-grounded domain.
+        ground_cache_hits,
+        /// `Dsl` jobs that parsed, checked and grounded from scratch.
+        ground_cache_misses,
+        /// Records appended to the job journal (submits + terminal replies).
+        journal_appends,
+        /// Intact journal records decoded during startup replay.
+        journal_replayed,
+        /// Bytes of corrupt journal tail truncated during recovery.
+        journal_truncated_bytes,
+        /// Jobs currently queued (submitted, not yet dequeued by a worker).
+        queue_depth,
+        /// Sum of per-job wall times, milliseconds.
+        total_wall_ms,
+        /// Largest single-job wall time, milliseconds.
+        max_wall_ms,
+        /// Faults deliberately injected by chaos jobs.
+        faults_injected,
+        /// Job panics a worker caught (or died to).
+        panics_caught,
+        /// Panicked jobs re-attempted under the retry policy.
+        jobs_retried,
+        /// Dead worker threads the supervisor replaced.
+        workers_respawned,
+        /// Jobs shed: the queue stayed full past the admission timeout, the
+        /// connection's reply backlog stayed full, or CoDel dropped the job
+        /// from the queue head.
+        jobs_shed,
+        /// Service-backed replans that got no answer (dead/rejecting service).
+        replans_failed,
+        /// Worker threads currently alive (gauge).
+        workers_alive,
+        /// Jobs that joined an identical in-flight computation (singleflight).
+        coalesced_jobs,
+        /// TCP connections accepted since startup.
+        conns_accepted,
+        /// TCP connections currently open (gauge).
+        conns_open,
+        /// TCP connections that vanished with jobs still in flight.
+        conns_dropped,
+        /// Idle/stalled connections reaped by the per-connection read timeout.
+        conns_reaped,
+        /// Inbound frames rejected for exceeding the per-frame size cap.
+        frames_oversize,
+        /// Inbound frames rejected as malformed (bad UTF-8 / unparseable).
+        frames_malformed,
+        /// Submissions rejected at admission as deadline-unmeetable (subset of
+        /// `jobs_rejected`).
+        jobs_rejected_deadline,
+        /// Jobs fast-failed at dequeue because their deadline had passed.
+        jobs_expired_in_queue,
+        /// Jobs run with a brownout-scaled (degraded) GA budget.
+        jobs_degraded,
+        /// Jobs shed from the queue head by the CoDel controller.
+        codel_drops,
+        /// In-flight request-id resubmissions with an identical payload folded
+        /// into the existing computation (idempotent client retries).
+        retries_joined,
+        /// In-flight request-id resubmissions rejected because the payload
+        /// differed (subset of `jobs_rejected`).
+        retries_conflict,
+        /// Transient accept-loop errors retried with backoff.
+        accepts_retried,
+    }
+    derived {
+        /// `cache_hits / (cache_hits + cache_misses)`, 0 when no lookups yet.
+        cache_hit_rate: f64,
+        /// `total_wall_ms / jobs_completed`, 0 before the first completion.
+        mean_wall_ms: f64,
+        /// Queue-wait EWMA at snapshot time, milliseconds (gauge; the
+        /// overload controllers' pressure signal).
+        queue_wait_ewma_ms: u64,
+        /// Execution-time EWMA at snapshot time, milliseconds (gauge).
+        exec_ewma_ms: u64,
+        /// Distribution of per-job wall times, milliseconds.
+        wall_ms_hist: HistogramSummary,
+        /// Distribution of submission-to-dequeue queue waits, milliseconds.
+        queue_wait_ms_hist: HistogramSummary,
+        /// Median per-job wall time so far (`wall_ms_hist.p50`).
+        wall_ms_p50: u64,
+        /// 99th-percentile per-job wall time so far (`wall_ms_hist.p99`).
+        wall_ms_p99: u64,
+        /// 99th-percentile queue wait so far (`queue_wait_ms_hist.p99`).
+        queue_wait_ms_p99: u64,
+        /// Worker threads the service was configured with.
+        workers_configured: u64,
+        /// Jobs queued or running (cancellable ids).
+        active_jobs: u64,
+    }
+}
+
+/// Live metrics: the counter table plus the EWMA and histogram state the
+/// derived snapshot fields are computed from.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    jobs_submitted: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_solved: AtomicU64,
-    jobs_timed_out: AtomicU64,
-    jobs_cancelled: AtomicU64,
-    jobs_rejected: AtomicU64,
-    jobs_errored: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
-    ground_cache_hits: AtomicU64,
-    ground_cache_misses: AtomicU64,
-    journal_appends: AtomicU64,
-    journal_replayed: AtomicU64,
-    journal_truncated_bytes: AtomicU64,
-    queue_depth: AtomicU64,
-    total_wall_ms: AtomicU64,
-    max_wall_ms: AtomicU64,
-    faults_injected: AtomicU64,
-    panics_caught: AtomicU64,
-    jobs_retried: AtomicU64,
-    workers_respawned: AtomicU64,
-    jobs_shed: AtomicU64,
-    replans_failed: AtomicU64,
-    workers_alive: AtomicU64,
-    coalesced_jobs: AtomicU64,
-    conns_accepted: AtomicU64,
-    conns_open: AtomicU64,
-    conns_dropped: AtomicU64,
-    conns_reaped: AtomicU64,
-    frames_oversize: AtomicU64,
-    frames_malformed: AtomicU64,
-    jobs_rejected_deadline: AtomicU64,
-    jobs_expired_in_queue: AtomicU64,
-    jobs_degraded: AtomicU64,
-    codel_drops: AtomicU64,
-    retries_joined: AtomicU64,
-    retries_conflict: AtomicU64,
-    accepts_retried: AtomicU64,
+    /// The counter cells. Plain events are counted on these directly; the
+    /// methods on [`Metrics`] cover updates that follow a rule.
+    pub counters: Counters,
     /// EWMA of queue wait, microseconds (α = 1/4); 0 until the first
     /// nonzero sample. Stored as plain bits — the racy read-modify-write
     /// is fine for a statistical signal.
@@ -73,15 +226,9 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// A job was accepted onto the queue.
-    pub fn on_submit(&self) {
-        self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-        self.queue_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A worker dequeued a job after it waited `wait_ms` on the queue.
     pub fn on_dequeue(&self, wait_ms: u64) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.counters.queue_depth.dec();
         self.queue_wait_ms_hist.lock().record(wait_ms);
         ewma_update(&self.queue_wait_ewma_us, wait_ms.saturating_mul(1000));
     }
@@ -103,271 +250,63 @@ impl Metrics {
         self.exec_ewma_us.load(Ordering::Relaxed) / 1000
     }
 
-    /// A submission was rejected (queue full or duplicate id).
-    pub fn on_reject(&self) {
-        self.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A job finished; `wall_ms` is submission-to-completion time.
     pub fn on_complete(&self, wall_ms: u64, solved: bool) {
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        self.counters.jobs_completed.inc();
         if solved {
-            self.jobs_solved.fetch_add(1, Ordering::Relaxed);
+            self.counters.jobs_solved.inc();
         }
-        self.total_wall_ms.fetch_add(wall_ms, Ordering::Relaxed);
-        self.max_wall_ms.fetch_max(wall_ms, Ordering::Relaxed);
+        self.counters.total_wall_ms.add(wall_ms);
+        self.counters.max_wall_ms.max(wall_ms);
         self.wall_ms_hist.lock().record(wall_ms);
-    }
-
-    /// Bucket upper bound of the `q`-quantile per-job wall time so far.
-    pub fn wall_ms_quantile(&self, q: f64) -> u64 {
-        self.wall_ms_hist.lock().quantile_upper(q)
-    }
-
-    /// Bucket upper bound of the `q`-quantile queue wait so far.
-    pub fn queue_wait_ms_quantile(&self, q: f64) -> u64 {
-        self.queue_wait_ms_hist.lock().quantile_upper(q)
-    }
-
-    /// A job hit its deadline.
-    pub fn on_timeout(&self) {
-        self.jobs_timed_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job was cancelled.
-    pub fn on_cancel(&self) {
-        self.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job failed to build its problem.
-    pub fn on_error(&self) {
-        self.jobs_errored.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The plan cache answered a job.
-    pub fn on_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The plan cache missed and the GA ran.
-    pub fn on_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The plan cache evicted its least-recently-used entry to make room.
-    pub fn on_cache_eviction(&self) {
-        self.cache_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A `Dsl` job reused an already-grounded domain from the ground cache.
-    pub fn on_ground_cache_hit(&self) {
-        self.ground_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A `Dsl` job parsed, checked and grounded its domain from scratch.
-    pub fn on_ground_cache_miss(&self) {
-        self.ground_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One record was appended (and flushed) to the job journal.
-    pub fn on_journal_append(&self) {
-        self.journal_appends.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `records` intact journal records were decoded during startup replay.
-    pub fn on_journal_replayed(&self, records: u64) {
-        self.journal_replayed.fetch_add(records, Ordering::Relaxed);
-    }
-
-    /// `bytes` of corrupt journal tail were truncated during recovery.
-    pub fn on_journal_truncated(&self, bytes: u64) {
-        self.journal_truncated_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// A chaos job deliberately injected a fault (panic) into a worker.
-    pub fn on_fault_injected(&self) {
-        self.faults_injected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker caught (or died to) a panicking job.
-    pub fn on_panic(&self) {
-        self.panics_caught.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A panicked job was re-attempted under the retry policy.
-    pub fn on_retry(&self) {
-        self.jobs_retried.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The supervisor replaced a dead worker thread.
-    pub fn on_respawn(&self) {
-        self.workers_respawned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A submission was shed: the queue stayed full past the admission
-    /// timeout.
-    pub fn on_shed(&self) {
-        self.jobs_shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A submission was rejected at admission because its deadline was
     /// provably unmeetable given the estimated queue wait. Also counts
     /// toward `jobs_rejected` (it is a pre-queue rejection).
     pub fn on_rejected_deadline(&self) {
-        self.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-        self.jobs_rejected_deadline.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker dequeued a job whose deadline had already passed and
-    /// fast-failed it without running the GA.
-    pub fn on_expired_in_queue(&self) {
-        self.jobs_expired_in_queue.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job ran with a brownout-scaled (degraded) GA budget.
-    pub fn on_degraded(&self) {
-        self.jobs_degraded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The CoDel controller shed a job from the head of the queue.
-    pub fn on_codel_drop(&self) {
-        self.codel_drops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An idle (or stalled half-open) connection was reaped by the
-    /// per-connection read timeout.
-    pub fn on_conn_reaped(&self) {
-        self.conns_reaped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A service-backed replan got no answer (service dead or rejecting),
-    /// as opposed to answering "no repair".
-    pub fn on_replan_failed(&self) {
-        self.replans_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job joined an identical in-flight computation instead of running.
-    pub fn on_coalesced(&self) {
-        self.coalesced_jobs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A resubmission of an in-flight request id with an identical payload
-    /// was folded into the existing computation (idempotent client retry).
-    pub fn on_retry_joined(&self) {
-        self.retries_joined.fetch_add(1, Ordering::Relaxed);
+        self.counters.jobs_rejected.inc();
+        self.counters.jobs_rejected_deadline.inc();
     }
 
     /// A resubmission reused an in-flight request id with a *different*
     /// payload and was rejected. Also counts toward `jobs_rejected`.
     pub fn on_retry_conflict(&self) {
-        self.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-        self.retries_conflict.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The accept loop hit a transient error (EINTR/EMFILE/...) and
-    /// retried with backoff instead of exiting.
-    pub fn on_accept_retried(&self) {
-        self.accepts_retried.fetch_add(1, Ordering::Relaxed);
+        self.counters.jobs_rejected.inc();
+        self.counters.retries_conflict.inc();
     }
 
     /// A TCP connection was accepted.
     pub fn on_conn_accept(&self) {
-        self.conns_accepted.fetch_add(1, Ordering::Relaxed);
-        self.conns_open.fetch_add(1, Ordering::Relaxed);
+        self.counters.conns_accepted.inc();
+        self.counters.conns_open.inc();
     }
 
     /// A TCP connection closed; `dropped` means the peer vanished with
     /// jobs still in flight (as opposed to a clean quit/EOF).
     pub fn on_conn_close(&self, dropped: bool) {
-        self.conns_open.fetch_sub(1, Ordering::Relaxed);
+        self.counters.conns_open.dec();
         if dropped {
-            self.conns_dropped.fetch_add(1, Ordering::Relaxed);
+            self.counters.conns_dropped.inc();
         }
     }
 
-    /// An inbound frame exceeded the per-frame size cap and was rejected.
-    pub fn on_frame_oversize(&self) {
-        self.frames_oversize.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An inbound frame was not valid UTF-8 / parseable JSON.
-    pub fn on_frame_malformed(&self) {
-        self.frames_malformed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker thread came up.
-    pub fn on_worker_start(&self) {
-        self.workers_alive.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker thread exited (normally or by panic).
-    pub fn on_worker_exit(&self) {
-        self.workers_alive.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Current live-worker gauge.
-    pub fn workers_alive(&self) -> u64 {
-        self.workers_alive.load(Ordering::Relaxed)
-    }
-
-    /// Current queue-depth gauge.
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// Consistent-enough point-in-time copy of every counter.
+    /// Consistent-enough point-in-time copy of every counter, with the
+    /// derived fields computed. `workers_configured` and `active_jobs`
+    /// belong to the service, not the counters, and stay 0 here.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let hits = self.cache_hits.load(Ordering::Relaxed);
-        let misses = self.cache_misses.load(Ordering::Relaxed);
-        let completed = self.jobs_completed.load(Ordering::Relaxed);
-        let total_wall_ms = self.total_wall_ms.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            jobs_completed: completed,
-            jobs_solved: self.jobs_solved.load(Ordering::Relaxed),
-            jobs_timed_out: self.jobs_timed_out.load(Ordering::Relaxed),
-            jobs_cancelled: self.jobs_cancelled.load(Ordering::Relaxed),
-            jobs_rejected: self.jobs_rejected.load(Ordering::Relaxed),
-            jobs_errored: self.jobs_errored.load(Ordering::Relaxed),
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_hit_rate: if hits + misses > 0 { hits as f64 / (hits + misses) as f64 } else { 0.0 },
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            ground_cache_hits: self.ground_cache_hits.load(Ordering::Relaxed),
-            ground_cache_misses: self.ground_cache_misses.load(Ordering::Relaxed),
-            journal_appends: self.journal_appends.load(Ordering::Relaxed),
-            journal_replayed: self.journal_replayed.load(Ordering::Relaxed),
-            journal_truncated_bytes: self.journal_truncated_bytes.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            total_wall_ms,
-            max_wall_ms: self.max_wall_ms.load(Ordering::Relaxed),
-            mean_wall_ms: if completed > 0 { total_wall_ms as f64 / completed as f64 } else { 0.0 },
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            jobs_retried: self.jobs_retried.load(Ordering::Relaxed),
-            workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
-            jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
-            replans_failed: self.replans_failed.load(Ordering::Relaxed),
-            workers_alive: self.workers_alive.load(Ordering::Relaxed),
-            coalesced_jobs: self.coalesced_jobs.load(Ordering::Relaxed),
-            conns_accepted: self.conns_accepted.load(Ordering::Relaxed),
-            conns_open: self.conns_open.load(Ordering::Relaxed),
-            conns_dropped: self.conns_dropped.load(Ordering::Relaxed),
-            conns_reaped: self.conns_reaped.load(Ordering::Relaxed),
-            frames_oversize: self.frames_oversize.load(Ordering::Relaxed),
-            frames_malformed: self.frames_malformed.load(Ordering::Relaxed),
-            jobs_rejected_deadline: self.jobs_rejected_deadline.load(Ordering::Relaxed),
-            jobs_expired_in_queue: self.jobs_expired_in_queue.load(Ordering::Relaxed),
-            jobs_degraded: self.jobs_degraded.load(Ordering::Relaxed),
-            codel_drops: self.codel_drops.load(Ordering::Relaxed),
-            retries_joined: self.retries_joined.load(Ordering::Relaxed),
-            retries_conflict: self.retries_conflict.load(Ordering::Relaxed),
-            accepts_retried: self.accepts_retried.load(Ordering::Relaxed),
-            queue_wait_ewma_ms: self.queue_wait_ewma_ms(),
-            exec_ewma_ms: self.exec_ewma_ms(),
-            wall_ms_hist: HistogramSummary::of(&self.wall_ms_hist.lock()),
-            queue_wait_ms_hist: HistogramSummary::of(&self.queue_wait_ms_hist.lock()),
-        }
+        let mut s = self.counters.snapshot();
+        let lookups = s.cache_hits + s.cache_misses;
+        s.cache_hit_rate = if lookups > 0 { s.cache_hits as f64 / lookups as f64 } else { 0.0 };
+        s.mean_wall_ms = if s.jobs_completed > 0 { s.total_wall_ms as f64 / s.jobs_completed as f64 } else { 0.0 };
+        s.queue_wait_ewma_ms = self.queue_wait_ewma_ms();
+        s.exec_ewma_ms = self.exec_ewma_ms();
+        s.wall_ms_hist = HistogramSummary::of(&self.wall_ms_hist.lock());
+        s.queue_wait_ms_hist = HistogramSummary::of(&self.queue_wait_ms_hist.lock());
+        s.wall_ms_p50 = s.wall_ms_hist.p50;
+        s.wall_ms_p99 = s.wall_ms_hist.p99;
+        s.queue_wait_ms_p99 = s.queue_wait_ms_hist.p99;
+        s
     }
 }
 
@@ -391,7 +330,7 @@ pub struct BucketCount {
 
 /// Serializable roll-up of a [`Histogram`]. Percentiles are bucket upper
 /// bounds, so every field is an exact integer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSummary {
     /// Samples recorded.
     pub count: u64,
@@ -421,104 +360,6 @@ impl HistogramSummary {
     }
 }
 
-/// Serializable point-in-time view of [`Metrics`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Jobs accepted onto the queue.
-    pub jobs_submitted: u64,
-    /// Jobs that produced a response (including timeouts/cancellations).
-    pub jobs_completed: u64,
-    /// Completed jobs whose plan reached the goal.
-    pub jobs_solved: u64,
-    /// Jobs stopped by their deadline.
-    pub jobs_timed_out: u64,
-    /// Jobs stopped by cancellation.
-    pub jobs_cancelled: u64,
-    /// Submissions rejected before queueing.
-    pub jobs_rejected: u64,
-    /// Jobs whose problem failed to build.
-    pub jobs_errored: u64,
-    /// Jobs answered from the plan cache.
-    pub cache_hits: u64,
-    /// Jobs that ran the GA.
-    pub cache_misses: u64,
-    /// `cache_hits / (cache_hits + cache_misses)`, 0 when no lookups yet.
-    pub cache_hit_rate: f64,
-    /// Plan-cache entries evicted (LRU) to make room for new plans.
-    pub cache_evictions: u64,
-    /// `Dsl` jobs that reused an already-grounded domain.
-    pub ground_cache_hits: u64,
-    /// `Dsl` jobs that parsed, checked and grounded from scratch.
-    pub ground_cache_misses: u64,
-    /// Records appended to the job journal (submits + terminal replies).
-    pub journal_appends: u64,
-    /// Intact journal records decoded during startup replay.
-    pub journal_replayed: u64,
-    /// Bytes of corrupt journal tail truncated during recovery.
-    pub journal_truncated_bytes: u64,
-    /// Jobs currently queued (submitted, not yet dequeued by a worker).
-    pub queue_depth: u64,
-    /// Sum of per-job wall times, milliseconds.
-    pub total_wall_ms: u64,
-    /// Largest single-job wall time, milliseconds.
-    pub max_wall_ms: u64,
-    /// `total_wall_ms / jobs_completed`, 0 before the first completion.
-    pub mean_wall_ms: f64,
-    /// Faults deliberately injected by chaos jobs.
-    pub faults_injected: u64,
-    /// Job panics a worker caught (or died to).
-    pub panics_caught: u64,
-    /// Panicked jobs re-attempted under the retry policy.
-    pub jobs_retried: u64,
-    /// Dead worker threads the supervisor replaced.
-    pub workers_respawned: u64,
-    /// Submissions shed after the admission timeout.
-    pub jobs_shed: u64,
-    /// Service-backed replans that got no answer (dead/rejecting service).
-    pub replans_failed: u64,
-    /// Worker threads currently alive (gauge).
-    pub workers_alive: u64,
-    /// Jobs that joined an identical in-flight computation (singleflight).
-    pub coalesced_jobs: u64,
-    /// TCP connections accepted since startup.
-    pub conns_accepted: u64,
-    /// TCP connections currently open (gauge).
-    pub conns_open: u64,
-    /// TCP connections that vanished with jobs still in flight.
-    pub conns_dropped: u64,
-    /// Idle/stalled connections reaped by the per-connection read timeout.
-    pub conns_reaped: u64,
-    /// Inbound frames rejected for exceeding the per-frame size cap.
-    pub frames_oversize: u64,
-    /// Inbound frames rejected as malformed (bad UTF-8 / unparseable).
-    pub frames_malformed: u64,
-    /// Submissions rejected at admission as deadline-unmeetable (subset of
-    /// `jobs_rejected`).
-    pub jobs_rejected_deadline: u64,
-    /// Jobs fast-failed at dequeue because their deadline had passed.
-    pub jobs_expired_in_queue: u64,
-    /// Jobs run with a brownout-scaled (degraded) GA budget.
-    pub jobs_degraded: u64,
-    /// Jobs shed from the queue head by the CoDel controller.
-    pub codel_drops: u64,
-    /// In-flight request-id resubmissions with an identical payload folded
-    /// into the existing computation (idempotent client retries).
-    pub retries_joined: u64,
-    /// In-flight request-id resubmissions rejected because the payload
-    /// differed (subset of `jobs_rejected`).
-    pub retries_conflict: u64,
-    /// Transient accept-loop errors retried with backoff.
-    pub accepts_retried: u64,
-    /// Queue-wait EWMA at snapshot time, milliseconds (gauge).
-    pub queue_wait_ewma_ms: u64,
-    /// Execution-time EWMA at snapshot time, milliseconds (gauge).
-    pub exec_ewma_ms: u64,
-    /// Distribution of per-job wall times, milliseconds.
-    pub wall_ms_hist: HistogramSummary,
-    /// Distribution of submission-to-dequeue queue waits, milliseconds.
-    pub queue_wait_ms_hist: HistogramSummary,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,44 +367,47 @@ mod tests {
     #[test]
     fn counters_roll_up_into_snapshot() {
         let m = Metrics::new();
-        m.on_submit();
-        m.on_submit();
+        let c = &m.counters;
+        c.jobs_submitted.inc();
+        c.queue_depth.inc();
+        c.jobs_submitted.inc();
+        c.queue_depth.inc();
         m.on_dequeue(3);
-        m.on_cache_miss();
+        c.cache_misses.inc();
         m.on_complete(40, true);
         m.on_dequeue(7);
-        m.on_cache_hit();
+        c.cache_hits.inc();
         m.on_complete(10, false);
-        m.on_reject();
-        m.on_cache_eviction();
-        m.on_ground_cache_miss();
-        m.on_ground_cache_hit();
-        m.on_ground_cache_hit();
-        m.on_journal_append();
-        m.on_journal_append();
-        m.on_journal_replayed(5);
-        m.on_journal_truncated(17);
-        m.on_coalesced();
+        c.jobs_rejected.inc();
+        c.cache_evictions.inc();
+        c.ground_cache_misses.inc();
+        c.ground_cache_hits.inc();
+        c.ground_cache_hits.inc();
+        c.journal_appends.inc();
+        c.journal_appends.inc();
+        c.journal_replayed.add(5);
+        c.journal_truncated_bytes.add(17);
+        c.coalesced_jobs.inc();
         m.on_conn_accept();
         m.on_conn_accept();
         m.on_conn_close(true);
-        m.on_frame_oversize();
-        m.on_frame_malformed();
+        c.frames_oversize.inc();
+        c.frames_malformed.inc();
         m.on_rejected_deadline();
-        m.on_expired_in_queue();
-        m.on_degraded();
-        m.on_codel_drop();
-        m.on_conn_reaped();
-        m.on_retry_joined();
+        c.jobs_expired_in_queue.inc();
+        c.jobs_degraded.inc();
+        c.codel_drops.inc();
+        c.conns_reaped.inc();
+        c.retries_joined.inc();
         m.on_retry_conflict();
-        m.on_accept_retried();
+        c.accepts_retried.inc();
         m.on_exec(20);
         let s = m.snapshot();
         assert_eq!(s.jobs_submitted, 2);
         assert_eq!(s.jobs_completed, 2);
         assert_eq!(s.jobs_solved, 1);
-        // on_reject + on_rejected_deadline + on_retry_conflict (the latter
-        // two also count as rejects).
+        // A plain reject + on_rejected_deadline + on_retry_conflict (the
+        // latter two also count as rejects).
         assert_eq!(s.jobs_rejected, 3);
         assert_eq!(s.jobs_rejected_deadline, 1);
         assert_eq!(s.jobs_expired_in_queue, 1);
@@ -606,8 +450,19 @@ mod tests {
         );
         assert_eq!(s.queue_wait_ms_hist.count, 2);
         assert_eq!(s.queue_wait_ms_hist.sum, 10);
-        assert_eq!(m.wall_ms_quantile(0.5), 15);
-        assert_eq!(m.queue_wait_ms_quantile(0.99), 7);
+        assert_eq!(s.wall_ms_p50, 15);
+        assert_eq!(s.wall_ms_p99, 63);
+        assert_eq!(s.queue_wait_ms_p99, 7);
+    }
+
+    #[test]
+    fn gauges_saturate_at_zero() {
+        let m = Metrics::new();
+        m.on_dequeue(0);
+        m.on_conn_close(false);
+        m.counters.workers_alive.dec();
+        let s = m.snapshot();
+        assert_eq!((s.queue_depth, s.conns_open, s.workers_alive), (0, 0, 0));
     }
 
     #[test]

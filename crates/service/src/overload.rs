@@ -134,7 +134,7 @@ impl OverloadControl {
     /// larger of the observed wait EWMA and the backlog estimate
     /// `queue_depth × exec_ewma / workers`.
     pub fn estimated_wait_ms(&self, metrics: &Metrics) -> u64 {
-        let backlog = metrics.queue_depth().saturating_mul(metrics.exec_ewma_ms()) / self.workers as u64;
+        let backlog = metrics.counters.queue_depth.get().saturating_mul(metrics.exec_ewma_ms()) / self.workers as u64;
         metrics.queue_wait_ewma_ms().max(backlog)
     }
 
@@ -280,7 +280,6 @@ mod tests {
         let m = Metrics::new();
         assert_eq!(ctl.brownout_factor(&m), 1.0);
         // Push the wait EWMA to 100 ms → engaged at the floor (20/100 < 0.25).
-        m.on_submit();
         m.on_dequeue(100);
         let f = ctl.brownout_factor(&m);
         assert!(ctl.brownout_active());
@@ -288,7 +287,6 @@ mod tests {
         // Decay the EWMA with idle samples; between exit (5) and enter (20)
         // the controller must stay engaged (hysteresis)...
         while m.queue_wait_ewma_ms() > 5 {
-            m.on_submit();
             m.on_dequeue(0);
             if (6..20).contains(&m.queue_wait_ewma_ms()) {
                 ctl.brownout_factor(&m);
@@ -310,9 +308,7 @@ mod tests {
         assert!(!ctl.would_miss_deadline(&m, now + Duration::from_millis(1), now));
         // Backlog estimate: 3 queued × 50 ms exec / 1 worker = 150 ms.
         m.on_exec(50);
-        m.on_submit();
-        m.on_submit();
-        m.on_submit();
+        m.counters.queue_depth.add(3);
         assert_eq!(ctl.estimated_wait_ms(&m), 150);
         assert!(ctl.would_miss_deadline(&m, now + Duration::from_millis(10), now));
         assert!(!ctl.would_miss_deadline(&m, now + Duration::from_secs(1), now));

@@ -10,7 +10,7 @@
 //! {"cmd":"shutdown"}
 //! ```
 //!
-//! Each output line is one JSON object: a [`PlanResponse`] for a finished
+//! Each output line is one JSON object: a [`PlanResponse`](crate::PlanResponse) for a finished
 //! job, `{"ack":"cancel","id":N,"found":bool}` for a cancel,
 //! `{"metrics":{...}}` for a metrics query, `{"health":{...}}` for a
 //! health probe, or `{"status":"Error","error":"..."}` (with the request
@@ -247,10 +247,42 @@ mod tests {
         let text = String::from_utf8(out.lock().clone()).unwrap();
         assert!(text.contains(r#""error":"#), "garbage line should yield an error: {text}");
         assert!(text.contains(r#""id":42,"status":"Error""#), "bad command must echo its id: {text}");
-        assert!(text.contains(r#""metrics":"#), "metrics line missing: {text}");
-        assert!(text.contains(r#""health":"#), "health line missing: {text}");
-        assert!(text.contains(r#""workers_alive":"#), "health must report live workers: {text}");
         assert!(text.contains(r#""id":1"#), "job response missing: {text}");
         assert!(text.contains(r#""status":"Done""#), "job should finish: {text}");
+        // Wire-name pin: `metrics` and `health` answer with one body, and
+        // that body still carries every field name either command had when
+        // each was a separate struct.
+        let body_keys = |key: &str| -> Vec<String> {
+            let line = text.lines().find(|l| l.starts_with(&format!(r#"{{"{key}":"#))).expect("body line");
+            let value = parse(line).unwrap();
+            let mut keys: Vec<String> =
+                value.get(key).and_then(Value::as_object).unwrap().iter().map(|(k, _)| k.clone()).collect();
+            keys.sort();
+            keys
+        };
+        let (metrics, health) = (body_keys("metrics"), body_keys("health"));
+        assert_eq!(metrics, health, "`metrics` and `health` must carry the same fields");
+        for name in METRICS_NAMES.split_whitespace().chain(HEALTH_NAMES.split_whitespace()) {
+            assert!(metrics.iter().any(|k| k == name), "wire field `{name}` dropped: {metrics:?}");
+        }
     }
+
+    /// The 45 field names of the `metrics` body before the counter table.
+    const METRICS_NAMES: &str = "\
+        jobs_submitted jobs_completed jobs_solved jobs_timed_out jobs_cancelled jobs_rejected jobs_errored \
+        cache_hits cache_misses cache_hit_rate cache_evictions ground_cache_hits ground_cache_misses \
+        journal_appends journal_replayed journal_truncated_bytes queue_depth total_wall_ms max_wall_ms \
+        mean_wall_ms faults_injected panics_caught jobs_retried workers_respawned jobs_shed replans_failed \
+        workers_alive coalesced_jobs conns_accepted conns_open conns_dropped conns_reaped frames_oversize \
+        frames_malformed jobs_rejected_deadline jobs_expired_in_queue jobs_degraded codel_drops \
+        retries_joined retries_conflict accepts_retried queue_wait_ewma_ms exec_ewma_ms wall_ms_hist \
+        queue_wait_ms_hist";
+
+    /// The 30 field names of the `health` body before the counter table.
+    const HEALTH_NAMES: &str = "\
+        workers_alive workers_configured queue_depth active_jobs workers_respawned wall_ms_p50 wall_ms_p99 \
+        queue_wait_ms_p99 cache_hits cache_misses cache_evictions ground_cache_hits ground_cache_misses \
+        journal_appends journal_replayed journal_truncated_bytes coalesced_jobs conns_accepted conns_open \
+        conns_dropped frames_oversize frames_malformed conns_reaped jobs_rejected_deadline \
+        jobs_expired_in_queue jobs_degraded codel_drops retries_joined retries_conflict queue_wait_ewma_ms";
 }

@@ -52,7 +52,7 @@ impl<'s> ServiceReplanner<'s> {
         let (reply_tx, reply_rx) = channel();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         if self.service.submit_grid(id, snapshot.clone(), self.cfg.clone(), self.deadline, reply_tx).is_err() {
-            self.service.metrics_ref().on_replan_failed();
+            self.service.metrics_ref().counters.replans_failed.inc();
             return Plan::default();
         }
         match reply_rx.recv() {
@@ -60,7 +60,7 @@ impl<'s> ServiceReplanner<'s> {
             Err(_) => {
                 // The service dropped the reply sender without answering:
                 // it is gone, not merely out of ideas.
-                self.service.metrics_ref().on_replan_failed();
+                self.service.metrics_ref().counters.replans_failed.inc();
                 Plan::default()
             }
         }

@@ -15,7 +15,7 @@
 //! retries) instead of a dead worker. If a panic does escape — e.g. a
 //! worker-killing chaos job — a reply guard still answers the client while
 //! the thread dies, and a supervisor thread respawns the worker. Every
-//! fault is counted in [`Metrics`] and visible via [`PlanService::health`].
+//! fault is counted in [`Metrics`] and visible via [`PlanService::metrics`].
 
 use std::any::{Any, TypeId};
 use std::hash::Hash;
@@ -25,8 +25,6 @@ use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use serde::{Deserialize, Serialize};
 
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
@@ -168,73 +166,6 @@ impl From<ServiceError> for std::io::Error {
             ServiceError::Spawn(io) => io,
         }
     }
-}
-
-/// Point-in-time liveness report (the `{"cmd":"health"}` answer).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HealthReport {
-    /// Worker threads currently alive.
-    pub workers_alive: u64,
-    /// Worker threads the service was configured with.
-    pub workers_configured: usize,
-    /// Jobs queued but not yet dequeued by a worker.
-    pub queue_depth: u64,
-    /// Jobs queued or running (cancellable ids).
-    pub active_jobs: usize,
-    /// Dead workers replaced by the supervisor so far.
-    pub workers_respawned: u64,
-    /// Median per-job wall time so far (log2-bucket upper bound, ms).
-    pub wall_ms_p50: u64,
-    /// 99th-percentile per-job wall time so far (bucket upper bound, ms).
-    pub wall_ms_p99: u64,
-    /// 99th-percentile queue wait so far (bucket upper bound, ms).
-    pub queue_wait_ms_p99: u64,
-    /// Jobs answered from the plan cache.
-    pub cache_hits: u64,
-    /// Jobs that ran the GA.
-    pub cache_misses: u64,
-    /// Plan-cache entries evicted (LRU) to make room.
-    pub cache_evictions: u64,
-    /// `Dsl` jobs that reused an already-grounded domain.
-    pub ground_cache_hits: u64,
-    /// `Dsl` jobs that parsed, checked and grounded from scratch.
-    pub ground_cache_misses: u64,
-    /// Records appended to the job journal (0 when serving unjournaled).
-    pub journal_appends: u64,
-    /// Intact journal records decoded during startup replay.
-    pub journal_replayed: u64,
-    /// Bytes of corrupt journal tail truncated during recovery.
-    pub journal_truncated_bytes: u64,
-    /// Jobs that joined an identical in-flight computation (singleflight).
-    pub coalesced_jobs: u64,
-    /// TCP connections accepted since startup (0 when serving over stdin).
-    pub conns_accepted: u64,
-    /// TCP connections currently open.
-    pub conns_open: u64,
-    /// TCP connections that vanished with jobs still in flight.
-    pub conns_dropped: u64,
-    /// Inbound frames rejected for exceeding the per-frame size cap.
-    pub frames_oversize: u64,
-    /// Inbound frames rejected as malformed (bad UTF-8 / unparseable).
-    pub frames_malformed: u64,
-    /// Idle/stalled connections reaped by the per-connection read timeout.
-    pub conns_reaped: u64,
-    /// Submissions rejected at admission as deadline-unmeetable.
-    pub jobs_rejected_deadline: u64,
-    /// Jobs fast-failed at dequeue because their deadline had passed.
-    pub jobs_expired_in_queue: u64,
-    /// Jobs run with a brownout-scaled (degraded) GA budget.
-    pub jobs_degraded: u64,
-    /// Jobs shed from the queue head by the CoDel controller.
-    pub codel_drops: u64,
-    /// In-flight request-id resubmissions folded into the existing
-    /// computation (idempotent client retries).
-    pub retries_joined: u64,
-    /// In-flight request-id resubmissions rejected for a differing payload.
-    pub retries_conflict: u64,
-    /// Queue-wait EWMA, milliseconds (the overload controllers' pressure
-    /// signal).
-    pub queue_wait_ewma_ms: u64,
 }
 
 /// What a worker plans: a wire-level spec, or an in-process grid world with
@@ -432,6 +363,7 @@ impl PlanService {
         let Some(tx) = self.tx.as_ref() else {
             return Err(SubmitError::ShutDown);
         };
+        let counters = &self.shared.metrics.counters;
         if let Some(job_deadline) = job.deadline {
             // Deadline-aware admission (off by default): if the estimated
             // queue wait alone already blows the deadline, reject now —
@@ -446,7 +378,7 @@ impl PlanService {
         {
             let mut active = self.shared.active.lock();
             if active.contains_key(&job.id) {
-                self.shared.metrics.on_reject();
+                counters.jobs_rejected.inc();
                 return Err(SubmitError::DuplicateId);
             }
             active.insert(job.id, token.clone());
@@ -455,20 +387,28 @@ impl PlanService {
         let mut job = job;
         let deadline = Instant::now() + self.admission_timeout;
         loop {
-            match tx.try_send(job) {
+            // Count the job in the depth gauge *before* the send: once it is
+            // in the channel an idle worker may dequeue it (and lower the
+            // gauge) before this thread runs again.
+            counters.queue_depth.inc();
+            let sent = tx.try_send(job);
+            if sent.is_err() {
+                counters.queue_depth.dec();
+            }
+            match sent {
                 Ok(()) => {
-                    self.shared.metrics.on_submit();
+                    counters.jobs_submitted.inc();
                     return Ok(token);
                 }
                 Err(TrySendError::Disconnected(_)) => {
                     self.shared.active.lock().remove(&id);
-                    self.shared.metrics.on_reject();
+                    counters.jobs_rejected.inc();
                     return Err(SubmitError::ShutDown);
                 }
                 Err(TrySendError::Full(returned)) => {
                     if self.admission_timeout.is_zero() {
                         self.shared.active.lock().remove(&id);
-                        self.shared.metrics.on_reject();
+                        counters.jobs_rejected.inc();
                         return Err(SubmitError::QueueFull);
                     }
                     if Instant::now() >= deadline {
@@ -476,7 +416,7 @@ impl PlanService {
                         // admission window, so turn the job away rather than
                         // letting latency grow without bound.
                         self.shared.active.lock().remove(&id);
-                        self.shared.metrics.on_shed();
+                        counters.jobs_shed.inc();
                         return Err(SubmitError::Shed);
                     }
                     job = returned;
@@ -499,48 +439,14 @@ impl PlanService {
         }
     }
 
-    /// Point-in-time metrics.
+    /// Point-in-time metrics: every counter plus the pool size and the
+    /// number of queued or running jobs. The body of both the `metrics`
+    /// and the `health` wire commands.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
-    }
-
-    /// Point-in-time liveness report: workers alive vs configured, queue
-    /// depth, in-flight job count, respawn count, plus the durability
-    /// counters (cache hit/miss/eviction, journal append/replay/truncation).
-    pub fn health(&self) -> HealthReport {
-        let snapshot = self.shared.metrics.snapshot();
-        HealthReport {
-            workers_alive: self.shared.metrics.workers_alive(),
-            workers_configured: self.workers_configured,
-            queue_depth: self.shared.metrics.queue_depth(),
-            active_jobs: self.shared.active.lock().len(),
-            workers_respawned: snapshot.workers_respawned,
-            wall_ms_p50: self.shared.metrics.wall_ms_quantile(0.5),
-            wall_ms_p99: self.shared.metrics.wall_ms_quantile(0.99),
-            queue_wait_ms_p99: self.shared.metrics.queue_wait_ms_quantile(0.99),
-            cache_hits: snapshot.cache_hits,
-            cache_misses: snapshot.cache_misses,
-            cache_evictions: snapshot.cache_evictions,
-            ground_cache_hits: snapshot.ground_cache_hits,
-            ground_cache_misses: snapshot.ground_cache_misses,
-            journal_appends: snapshot.journal_appends,
-            journal_replayed: snapshot.journal_replayed,
-            journal_truncated_bytes: snapshot.journal_truncated_bytes,
-            coalesced_jobs: snapshot.coalesced_jobs,
-            conns_accepted: snapshot.conns_accepted,
-            conns_open: snapshot.conns_open,
-            conns_dropped: snapshot.conns_dropped,
-            frames_oversize: snapshot.frames_oversize,
-            frames_malformed: snapshot.frames_malformed,
-            conns_reaped: snapshot.conns_reaped,
-            jobs_rejected_deadline: snapshot.jobs_rejected_deadline,
-            jobs_expired_in_queue: snapshot.jobs_expired_in_queue,
-            jobs_degraded: snapshot.jobs_degraded,
-            codel_drops: snapshot.codel_drops,
-            retries_joined: snapshot.retries_joined,
-            retries_conflict: snapshot.retries_conflict,
-            queue_wait_ewma_ms: snapshot.queue_wait_ewma_ms,
-        }
+        let mut snapshot = self.shared.metrics.snapshot();
+        snapshot.workers_configured = self.workers_configured as u64;
+        snapshot.active_jobs = self.shared.active.lock().len() as u64;
+        snapshot
     }
 
     /// Shared metrics hook for in-crate adapters (e.g. the service-backed
@@ -559,7 +465,7 @@ impl PlanService {
     /// computed before a crash keep answering identical resubmissions.
     pub fn seed_cache(&self, key: u64, value: CachedPlan) {
         if self.shared.cache.lock().insert(key, value) {
-            self.shared.metrics.on_cache_eviction();
+            self.shared.metrics.counters.cache_evictions.inc();
         }
     }
 
@@ -603,7 +509,7 @@ fn spawn_worker(index: usize, rx: &Arc<Mutex<Receiver<Job>>>, shared: &Arc<Share
     let rx = Arc::clone(rx);
     let shared = Arc::clone(shared);
     // Count the worker from spawn time, not from when the OS first
-    // schedules the thread, so an immediate health() sees the full pool.
+    // schedules the thread, so an immediate snapshot sees the full pool.
     // A failed spawn drops the guard and the gauge rolls back.
     let alive = AliveGuard::new(Arc::clone(&shared));
     std::thread::Builder::new().name(format!("gaplan-worker-{index}")).spawn(move || {
@@ -619,14 +525,14 @@ struct AliveGuard(Arc<Shared>);
 
 impl AliveGuard {
     fn new(shared: Arc<Shared>) -> Self {
-        shared.metrics.on_worker_start();
+        shared.metrics.counters.workers_alive.inc();
         AliveGuard(shared)
     }
 }
 
 impl Drop for AliveGuard {
     fn drop(&mut self) {
-        self.0.metrics.on_worker_exit();
+        self.0.metrics.counters.workers_alive.dec();
     }
 }
 
@@ -643,7 +549,7 @@ struct ReplyGuard<'s> {
 impl Drop for ReplyGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.shared.metrics.on_panic();
+            self.shared.metrics.counters.panics_caught.inc();
             self.shared.active.lock().remove(&self.id);
             let mut resp = PlanResponse::failure(
                 self.id,
@@ -680,7 +586,7 @@ fn supervisor_loop(mut handles: Vec<JoinHandle<()>>, rx: &Arc<Mutex<Receiver<Job
                 next_index += 1;
                 let dead = std::mem::replace(slot, fresh);
                 let _ = dead.join();
-                shared.metrics.on_respawn();
+                shared.metrics.counters.workers_respawned.inc();
             }
         }
     }
@@ -691,7 +597,7 @@ fn supervisor_loop(mut handles: Vec<JoinHandle<()>>, rx: &Arc<Mutex<Receiver<Job
         if handle.join().is_err() {
             if let Ok(drainer) = spawn_worker(next_index, rx, shared) {
                 next_index += 1;
-                shared.metrics.on_respawn();
+                shared.metrics.counters.workers_respawned.inc();
                 let _ = drainer.join();
             }
         }
@@ -713,7 +619,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
         obs::emit(|| Event::new("svc.dequeue").u64("id", job.id).u64("queue_wait_wall_ms", queue_wait_ms));
         let _guard = ReplyGuard { id: job.id, submitted_at: job.submitted_at, reply: job.reply.clone(), shared };
         if let JobProblem::Spec(ProblemSpec::Chaos { kill_worker: true, .. }) = &job.problem {
-            shared.metrics.on_fault_injected();
+            shared.metrics.counters.faults_injected.inc();
             panic!("chaos job {} killed this worker on request", job.id);
         }
         // Feed every sojourn to the CoDel controller, whether or not the
@@ -725,7 +631,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
             // Fast-fail: the deadline passed while the job sat queued, so
             // a GA run could only produce a dead answer. Reply immediately
             // and give the worker to a job that can still make it.
-            shared.metrics.on_expired_in_queue();
+            shared.metrics.counters.jobs_expired_in_queue.inc();
             response =
                 PlanResponse::failure(job.id, JobStatus::DeadlineExpired, "deadline expired while queued; job not run");
             response.wall_ms = job.wall_ms();
@@ -734,8 +640,8 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
             // Controlled-delay head shedding: sojourn has been above target
             // for a full interval, so drop from the head (oldest first) to
             // pull the standing queue back under target.
-            shared.metrics.on_codel_drop();
-            shared.metrics.on_shed();
+            shared.metrics.counters.codel_drops.inc();
+            shared.metrics.counters.jobs_shed.inc();
             obs::emit(|| Event::new("svc.codel").u64("id", job.id).u64("sojourn_ms", queue_wait_ms));
             response = PlanResponse::failure(
                 job.id,
@@ -752,12 +658,12 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
                         break;
                     }
                     Err(payload) => {
-                        shared.metrics.on_panic();
+                        shared.metrics.counters.panics_caught.inc();
                         if attempt < shared.max_job_retries {
-                            shared.metrics.on_retry();
+                            shared.metrics.counters.jobs_retried.inc();
                             continue;
                         }
-                        shared.metrics.on_error();
+                        shared.metrics.counters.jobs_errored.inc();
                         response = PlanResponse::failure(
                             job.id,
                             JobStatus::Error,
@@ -815,7 +721,7 @@ fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
                 (built, cfg)
             }
             Err(msg) => {
-                shared.metrics.on_error();
+                shared.metrics.counters.jobs_errored.inc();
                 let mut resp = PlanResponse::failure(job.id, JobStatus::Error, msg);
                 resp.wall_ms = job.wall_ms();
                 return resp;
@@ -829,7 +735,7 @@ fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
         // trivially. Handled before the cache so a cached success can never
         // swallow a scheduled fault.
         if attempt < *fail_attempts {
-            shared.metrics.on_fault_injected();
+            shared.metrics.counters.faults_injected.inc();
             panic!("chaos job {}: injected panic on attempt {attempt}", job.id);
         }
         let wall_ms = job.wall_ms();
@@ -854,7 +760,7 @@ fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
     let cached = shared.cache.lock().get(key);
     obs::emit(|| Event::new("svc.cache").u64("id", job.id).bool("hit", cached.is_some()));
     if let Some(hit) = cached {
-        shared.metrics.on_cache_hit();
+        shared.metrics.counters.cache_hits.inc();
         let wall_ms = job.wall_ms();
         shared.metrics.on_complete(wall_ms, hit.solved);
         return PlanResponse {
@@ -872,7 +778,7 @@ fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
             degraded: false,
         };
     }
-    shared.metrics.on_cache_miss();
+    shared.metrics.counters.cache_misses.inc();
 
     // Anytime brownout: under queue pressure, run a scaled-down GA budget
     // and mark the response degraded. Cache lookups above still use the
@@ -882,7 +788,7 @@ fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
     let factor = shared.overload.brownout_factor(&shared.metrics);
     let degraded = factor < 1.0;
     let run_cfg = if degraded {
-        shared.metrics.on_degraded();
+        shared.metrics.counters.jobs_degraded.inc();
         cfg.scale_budget(factor)
     } else {
         cfg
@@ -897,11 +803,11 @@ fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
     let status = match outcome.stopped {
         None => JobStatus::Done,
         Some(StopCause::Deadline) => {
-            shared.metrics.on_timeout();
+            shared.metrics.counters.jobs_timed_out.inc();
             JobStatus::Timeout
         }
         Some(StopCause::Cancelled) => {
-            shared.metrics.on_cancel();
+            shared.metrics.counters.jobs_cancelled.inc();
             JobStatus::Cancelled
         }
     };
@@ -917,7 +823,7 @@ fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
             },
         );
         if evicted {
-            shared.metrics.on_cache_eviction();
+            shared.metrics.counters.cache_evictions.inc();
         }
     }
     let wall_ms = job.wall_ms();
@@ -1157,7 +1063,7 @@ mod tests {
             ..ServiceConfig::default()
         })
         .unwrap();
-        assert!(wait_until(2000, || service.health().workers_alive == 1), "worker never came up");
+        assert!(wait_until(2000, || service.metrics().workers_alive == 1), "worker never came up");
         service.submit(chaos_request(1, 0, true)).unwrap();
         // the dying worker's reply guard still answers the client
         let resp = responses.recv().unwrap();
@@ -1165,7 +1071,7 @@ mod tests {
         assert_eq!(resp.status, JobStatus::Error);
         // the supervisor replaces the dead thread
         assert!(
-            wait_until(2000, || service.metrics().workers_respawned >= 1 && service.health().workers_alive == 1),
+            wait_until(2000, || service.metrics().workers_respawned >= 1 && service.metrics().workers_alive == 1),
             "supervisor never respawned the worker: {:?}",
             service.metrics()
         );
@@ -1220,8 +1126,8 @@ mod tests {
     #[test]
     fn health_reports_live_workers_and_queue() {
         let (service, _responses) = PlanService::start(ServiceConfig::default()).unwrap();
-        assert!(wait_until(2000, || service.health().workers_alive == 2), "{:?}", service.health());
-        let h = service.health();
+        assert!(wait_until(2000, || service.metrics().workers_alive == 2), "{:?}", service.metrics());
+        let h = service.metrics();
         assert_eq!(h.workers_configured, 2);
         assert_eq!(h.queue_depth, 0);
         assert_eq!(h.active_jobs, 0);
@@ -1381,6 +1287,46 @@ mod tests {
         // Every id has a distinct seed (distinct cache key); only the
         // full-budget runs may populate the cache.
         assert_eq!(service.cache_len(), jobs as usize - degraded, "degraded plans must never be cached");
+        service.shutdown();
+    }
+    #[test]
+    fn concurrent_submitters_see_no_spurious_deadline_rejections() {
+        // Closed-loop clients leave the workers idle at each submission, so
+        // a worker can dequeue a job the instant it is sent. Admission must
+        // never read that as a backlog and turn a feasible job away.
+        let (service, _responses) = PlanService::start(ServiceConfig {
+            workers: 2,
+            queue_capacity: 8,
+            cache_capacity: 0,
+            overload: OverloadConfig { deadline_admission: true, ..OverloadConfig::default() },
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let rejected = std::sync::atomic::AtomicU64::new(0);
+        let max_depth = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for client in 0..2u64 {
+                let (service, rejected, max_depth) = (&service, &rejected, &max_depth);
+                scope.spawn(move || {
+                    for n in 0..300 {
+                        let mut request = tiny_request(client * 1000 + n);
+                        request.problem = ProblemSpec::Hanoi { disks: 4 };
+                        request.deadline_ms = Some(60_000);
+                        let (reply, answer) = std::sync::mpsc::channel();
+                        match service.submit_with_reply(request, reply) {
+                            Ok(_) => drop(answer.recv().unwrap()),
+                            Err(SubmitError::WouldMissDeadline) => drop(rejected.fetch_add(1, Ordering::Relaxed)),
+                            Err(other) => panic!("unexpected rejection: {other}"),
+                        }
+                        max_depth.fetch_max(service.metrics().queue_depth, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        let m = service.metrics();
+        assert_eq!(rejected.into_inner(), 0, "feasible jobs were rejected: {m:?}");
+        assert!(max_depth.into_inner() <= 2, "two closed-loop clients never queue more than two jobs: {m:?}");
+        assert_eq!(m.queue_depth, 0);
         service.shutdown();
     }
 }

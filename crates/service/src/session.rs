@@ -114,8 +114,8 @@ impl SessionHost {
             return Ok(());
         };
         let recovery = journal.recover()?;
-        self.metrics.on_journal_replayed(recovery.records_replayed);
-        self.metrics.on_journal_truncated(recovery.truncated_bytes);
+        self.metrics.counters.journal_replayed.add(recovery.records_replayed);
+        self.metrics.counters.journal_truncated_bytes.add(recovery.truncated_bytes);
         obs::emit(|| {
             Event::new("durable.replay")
                 .u64("records", recovery.records_replayed)
@@ -159,7 +159,7 @@ impl SessionHost {
                     Err(err) => {
                         let resp = PlanResponse::failure(id, JobStatus::Rejected, err.to_string());
                         if journal.record_done(&resp).is_ok() {
-                            self.metrics.on_journal_append();
+                            self.metrics.counters.journal_appends.inc();
                         }
                         if let Some(sink) = sink {
                             let _ = sink.send(response_line(&resp));
@@ -270,16 +270,12 @@ impl<'h> Session<'h> {
                 self.send(format!(r#"{{"ack":"cancel","id":{id},"found":{found}}}"#));
                 LineOutcome::Continue
             }
-            Ok(Command::Metrics) => {
+            Ok(cmd @ (Command::Metrics | Command::Health)) => {
+                // Both commands answer with the same snapshot; only the key differs.
+                let key = if matches!(cmd, Command::Metrics) { "metrics" } else { "health" };
                 let snapshot = self.host.service.metrics();
                 let body = serde_json::to_string(&snapshot).unwrap_or_else(|_| "null".to_string());
-                self.send(format!(r#"{{"metrics":{body}}}"#));
-                LineOutcome::Continue
-            }
-            Ok(Command::Health) => {
-                let report = self.host.service.health();
-                let body = serde_json::to_string(&report).unwrap_or_else(|_| "null".to_string());
-                self.send(format!(r#"{{"health":{body}}}"#));
+                self.send(format!(r#"{{"{key}":{body}}}"#));
                 LineOutcome::Continue
             }
             Ok(Command::Shutdown) => LineOutcome::Shutdown,
@@ -318,7 +314,7 @@ impl<'h> Session<'h> {
                 // queuing unbounded output.
                 if let Some(limit) = self.backlog_limit {
                     if !self.wait_backlog(limit) {
-                        self.host.metrics.on_shed();
+                        self.host.metrics.counters.jobs_shed.inc();
                         let resp = PlanResponse::failure(
                             request.id,
                             JobStatus::Shed,
@@ -355,7 +351,7 @@ impl<'h> Session<'h> {
                 self.send(response_line(&resp));
                 return;
             }
-            self.host.metrics.on_journal_append();
+            self.host.metrics.counters.journal_appends.inc();
         }
         if let Err(err) = self.host.service.submit(*request) {
             let status = match err {
@@ -377,7 +373,7 @@ impl<'h> Session<'h> {
                 // Terminal record for the journaled submit, so a restart
                 // does not resurrect a shed job.
                 if journal.record_done(&resp).is_ok() {
-                    self.host.metrics.on_journal_append();
+                    self.host.metrics.counters.journal_appends.inc();
                 }
             }
             self.send(response_line(&resp));
